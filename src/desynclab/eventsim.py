@@ -42,6 +42,7 @@ never touch the phase math.
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -130,7 +131,6 @@ class NodeState:
         self.phi = phi                 # oscillator offset in [0,1); momentum variable when accelerated
         self.pos_phi = phi             # position sequence offset (accelerated mode)
         self.update_count = 0
-        self.last_fire_time: Optional[float] = None
         self.fire_count = 0
         self.awaiting_update = False   # fired, not yet updated since that fire
         self.last_heard_offset: Optional[float] = None
@@ -210,6 +210,9 @@ class Simulation:
         self._fire_times: list[list[float]] = [[] for _ in range(n)]
         self._prev_round_order: list[list[int]] | None = None
         self.completed_rounds = 0
+        # _fired_at_least[k]: how many nodes have fired at least k times;
+        # round k is complete once that count reaches n
+        self._fired_at_least = [n]
         self.trace: list[TraceRecord] = []
         self.order_change_rounds = 0
 
@@ -219,6 +222,13 @@ class Simulation:
                 self.balance_channels()
             for c in range(C):
                 self._elect(c)
+        # pending-fire queue keyed (time, channel, node_id), the scan's
+        # tie-break; an entry is live while it matches the node's current
+        # next_fire and channel, so rescheduling leaves the old one to be
+        # skipped when popped (it expires within one period)
+        self._queue = [(t, nd.channel, nd.node_id)
+                       for t, nd in zip(self.next_fire.tolist(), self.nodes)]
+        heapq.heapify(self._queue)
 
         # analytical-staleness ledger: fixed ring per channel (initial phase
         # order) plus per-node previous/current iterate values
@@ -319,26 +329,33 @@ class Simulation:
 
     # ---------------- event loop ----------------
 
+    def _schedule(self, node: NodeState, t: float):
+        """Set the node's next fire time; the only writer of next_fire."""
+        t = float(t)  # queue keys compare faster as Python floats than numpy scalars
+        self.next_fire[node.node_id] = t
+        heapq.heappush(self._queue, (t, node.channel, node.node_id))
+
     def advance_to_next_fire(self) -> FireEvent:
         """Advance the clock to the earliest phase-1 crossing; the firer wraps
         to phase 0 and its next fire is scheduled one period later. Ties
         break on (channel, node_id)."""
         if not self.nodes:
             raise RuntimeError("empty network: no node can fire")
-        best = None
-        for nd in self.nodes:
-            key = (self.next_fire[nd.node_id], nd.channel, nd.node_id)
-            if best is None or key < best:
-                best = key
-        t, _, nid = best
-        firer = self.nodes[nid]
+        queue, next_fire, nodes = self._queue, self.next_fire, self.nodes
+        while True:
+            t, ch, nid = heapq.heappop(queue)
+            firer = nodes[nid]
+            if t == next_fire[nid] and ch == firer.channel:
+                break
         self.time = t
-        firer.last_fire_time = t
         firer.fire_count += 1
+        if firer.fire_count == len(self._fired_at_least):
+            self._fired_at_least.append(0)
+        self._fired_at_least[firer.fire_count] += 1
         self._fire_times[nid].append(t)
         firer.succ_offset = firer.last_heard_offset
         firer.awaiting_update = False if firer.role == "sync" else True
-        self.next_fire[nid] = t + self.config.period
+        self._schedule(firer, t + self.config.period)
         return FireEvent(time=t, node_id=nid, channel=firer.channel)
 
     def step(self) -> FireEvent:
@@ -348,17 +365,17 @@ class Simulation:
 
     def _deliver(self, event: FireEvent):
         cfg = self.config
-        firer = self.nodes[event.node_id]
+        firer_id = event.node_id
+        firer = self.nodes[firer_id]
         announced = (1.0 - event.time / cfg.period) % 1.0
+        nodes, delivered = self.nodes, self.message_delivered
         for nid in self.channel_members[event.channel]:
-            if nid == event.node_id:
+            listener = nodes[nid]
+            # Sync nodes take no in-channel coupling
+            if nid == firer_id or listener.role == "sync" or not delivered(nid, firer_id):
                 continue
-            listener = self.nodes[nid]
-            if listener.role == "sync":
-                continue  # Sync nodes take no in-channel coupling
-            if not self.message_delivered(nid, event.node_id):
-                continue
-            self._on_fire_desync(listener, event, announced)
+            if listener.awaiting_update:
+                self._on_fire_desync(listener, event, announced)
             listener.last_heard_offset = announced
         if cfg.channels > 1 and firer.role == "sync" and event.channel != 0:
             # chain topology: channel c-1 syncs to channel c; the wrap edge
@@ -371,7 +388,7 @@ class Simulation:
 
     def _reschedule(self, node: NodeState, t: float):
         theta = node.theta(t, self.config.period)
-        self.next_fire[node.node_id] = t + self.config.period * (1.0 - theta)
+        self._schedule(node, t + self.config.period * (1.0 - theta))
 
     def _pending_phase(self, node: NodeState, t: float) -> float:
         """Listener phase at time t derived from its pending fire.
@@ -380,14 +397,13 @@ class Simulation:
         is ill-conditioned at fire instants and can read 0 for a node whose
         fire is imminent, which would silently skip that fire on reschedule.
         """
-        remaining = self.next_fire[node.node_id] - t
+        remaining = self.next_fire.item(node.node_id) - t
         return max(0.0, 1.0 - remaining / self.config.period)
 
     def _on_fire_desync(self, listener: NodeState, event: FireEvent, announced: float):
-        """Midpoint update at the predecessor's fire; skipped while caches are
-        cold (live mode) or until the listener has fired."""
-        if not listener.awaiting_update:
-            return
+        """Midpoint update at the predecessor's fire, for a listener awaiting
+        its update since its own fire; skipped while caches are cold (live
+        mode)."""
         listener.awaiting_update = False
         if self.config.staleness_mode == "assumption1":
             self._ledger_desync_update(listener, event)
@@ -419,9 +435,7 @@ class Simulation:
             theta_new = p_new
         # p_new is the listener's new phase at the fire instant; scheduling
         # from it directly avoids another mod-1 roundtrip
-        self.next_fire[listener.node_id] = event.time + self.config.period * (
-            1.0 - theta_new
-        )
+        self._schedule(listener, event.time + self.config.period * (1.0 - theta_new))
 
     def _ledger_value(self, nid: int, index: int) -> float:
         node = self.nodes[nid]
@@ -487,7 +501,7 @@ class Simulation:
         theta_new = self._sync_pull(self._pending_phase(listener, t))
         listener.update_count += 1
         listener.phi = (theta_new - t / self.config.period) % 1.0
-        self.next_fire[listener.node_id] = t + self.config.period * (1.0 - theta_new)
+        self._schedule(listener, t + self.config.period * (1.0 - theta_new))
 
     # ---------------- rounds, objective, trace ----------------
 
@@ -601,7 +615,8 @@ class Simulation:
             if cfg.max_time is not None and self.time >= cfg.max_time:
                 break
             self.step()
-            if min(nd.fire_count for nd in self.nodes) > self.completed_rounds:
+            r = self.completed_rounds + 1
+            if r < len(self._fired_at_least) and self._fired_at_least[r] == cfg.n:
                 rec = self._finish_round()
                 final = rec.objective
                 if not np.isfinite(final):
@@ -694,6 +709,9 @@ class Simulation:
         self.channel_members[ca].sort()
         self.channel_members[cb].sort()
         a.channel, b.channel = cb, ca
+        # the channel is part of the queue key: requeue both under the new one
+        self._schedule(a, self.next_fire[node_a])
+        self._schedule(b, self.next_fire[node_b])
         if a.role == "sync":
             self.sync_of[cb] = node_a
             self.sync_of[ca] = node_b
@@ -716,7 +734,7 @@ def trace_to_csv(trace: Sequence[TraceRecord], path, channels: int):
         )
         for rec in trace:
             writer.writerow(
-                [rec.round_index, repr(rec.sim_time), repr(rec.objective)]
+                [rec.round_index, repr(float(rec.sim_time)), repr(float(rec.objective))]
                 + [str(o) for o in rec.occupancy]
                 + [int(rec.converged)]
             )

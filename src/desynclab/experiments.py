@@ -471,8 +471,9 @@ def certify_spectra(
 # ---------------- output emission ----------------
 
 def _fmt(x) -> str:
+    # float() drops numpy's scalar type, whose repr is "np.float64(...)"
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 

@@ -9,6 +9,7 @@ from desynclab import (
     MultichannelProblem,
     MultichannelState,
     NesterovState,
+    SimConfig,
     SingleChannelProblem,
     SpecError,
     certify_spectra,
@@ -16,13 +17,16 @@ from desynclab import (
     emit_plotdata,
     load_summary,
     parse_spec,
+    run_simulation,
     run_sweep,
     run_until_convergence,
     serialize_spec,
 )
+from desynclab.eventsim import trace_to_csv
 from desynclab.experiments import (
     ExperimentSpec,
     write_bounds_csv,
+    write_spectra_csv,
     write_sweep_csv,
     SWEEP_CSV_HEADER,
 )
@@ -236,6 +240,33 @@ def test_empty_sweep_emits_headers_only(tmp_path):
     assert (tmp_path / "empty.csv").read_text().splitlines() == [SWEEP_CSV_HEADER]
     paths = emit_plotdata(result, tmp_path)
     assert any(str(p).endswith("summary.json") for p in paths)
+
+
+def test_written_fields_parse_as_numbers(tmp_path):
+    spec = small_spec(trials=3)
+    result = run_sweep(spec)
+    write_sweep_csv(result, tmp_path / "sweep.csv")
+    write_bounds_csv(compare_bounds(spec), tmp_path / "bounds.csv")
+    write_spectra_csv(
+        certify_spectra(ns=(3,), cs=(2,), betas=(0.25,), gammas=(0.6,)),
+        tmp_path / "spectra.csv",
+    )
+    dat = [p for p in emit_plotdata(result, tmp_path / "plot") if p.endswith(".dat")]
+    sim = run_simulation(SimConfig(n=6, channels=2, rng_seed=1, max_rounds=20))
+    trace_to_csv(sim.trace, tmp_path / "trace.csv", 2)
+
+    def body(path, sep=","):
+        lines = open(path).read().splitlines()
+        assert len(lines) > 1
+        return [line.split(sep) for line in lines[1:]]
+
+    rows = [r[1:] for r in body(tmp_path / "sweep.csv")]  # column 0 is the mode name
+    for name in ("bounds.csv", "spectra.csv", "trace.csv"):
+        rows += body(tmp_path / name)
+    for p in dat:
+        rows += body(p, sep=" ")
+    for field in (f for r in rows for f in r):
+        float(field)  # ints parse as floats too; "np.float64(...)" raises
 
 
 def test_eventsim_sweep_mode():
