@@ -6,7 +6,6 @@ simulator, and a reproducible experiment harness.
 """
 
 from .problems import (
-    GRADIENT_LIPSCHITZ,
     MultichannelProblem,
     SingleChannelProblem,
     alpha_to_beta,

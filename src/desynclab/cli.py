@@ -30,12 +30,6 @@ from .experiments import (
     certify_spectra,
 )
 
-DEFAULT_SPECTRA_NS = (3, 4, 6)
-DEFAULT_SPECTRA_CS = (2, 3, 4)
-DEFAULT_SPECTRA_BETAS = (0.05, 0.15, 0.25, 0.35, 0.45)
-DEFAULT_SPECTRA_GAMMAS = (0.1, 0.3, 0.5, 0.7, 0.9)
-
-
 def _load_spec(args):
     with open(args.config) as fh:
         spec = parse_spec(fh.read())
@@ -82,11 +76,8 @@ def _cmd_spectra(args) -> int:
     spec = _load_spec(args)
     if spec.mode not in ("much", "fast-much"):
         raise SpecError("spectra certification needs mode much or fast-much")
-    ns = (spec.nodes_per_channel,) if spec.nodes_per_channel else DEFAULT_SPECTRA_NS
-    cs = (spec.channels,) if spec.channels else DEFAULT_SPECTRA_CS
-    betas = tuple(a / 2.0 for a in spec.alphas) if spec.alphas else DEFAULT_SPECTRA_BETAS
-    gammas = spec.gammas or DEFAULT_SPECTRA_GAMMAS
-    rows = certify_spectra(ns, cs, betas, gammas)
+    betas = tuple(a / 2.0 for a in spec.alphas)
+    rows = certify_spectra((spec.nodes_per_channel,), (spec.channels,), betas, spec.gammas)
     os.makedirs(spec.out_dir, exist_ok=True)
     csv_path = os.path.join(spec.out_dir, "spectra.csv")
     write_spectra_csv(rows, csv_path)

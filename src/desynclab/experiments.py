@@ -9,7 +9,6 @@ Default grids are echoed into all outputs so results are self-describing.
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -21,6 +20,7 @@ import yaml
 from .bounds import desync_round_bound, fast_desync_round_bound
 from .eventsim import SimConfig, run_simulation
 from .problems import MultichannelProblem, SingleChannelProblem
+from .rounds import default_max_rounds
 from .spectral import spectral_report
 from .trials import (
     initial_multichannel_batch,
@@ -252,69 +252,60 @@ class SweepResult:
         return sum(r.failures for r in self.rows)
 
 
-def _default_cap(n: int, alpha: float, epsilon: float) -> int:
-    problem = SingleChannelProblem(n=n, alpha=alpha, epsilon=epsilon)
-    return int(math.ceil(10.0 * desync_round_bound(problem)))
-
-
 def _stats(rounds: np.ndarray) -> tuple[float, int, float]:
     return float(rounds.mean()), int(rounds.max()), float(rounds.std())
+
+
+def _paired_rows(spec, modes, plain, fast, **point) -> list[SweepRow]:
+    """The plain and accelerated rows of one grid point, both carrying the
+    accelerated variant's speed-up over the plain mean rounds."""
+    mean_p = plain.rounds.mean()
+    mean_f = fast.rounds.mean()
+    speedup = 100.0 * (mean_p - mean_f) / mean_p if mean_p > 0 else 0.0
+    rows = []
+    for mode, res in zip(modes, (plain, fast)):
+        mean, mx, std = _stats(res.rounds)
+        rows.append(
+            SweepRow(
+                mode=mode, trials=spec.trials, mean_rounds=mean, max_rounds=mx,
+                std_rounds=std, speedup_pct=speedup,
+                failures=int((~res.converged).sum()), **point,
+            )
+        )
+    return rows
 
 
 def _single_channel_point(args) -> list[SweepRow]:
     spec, alpha, epsilon = args
     n = spec.n
-    cap = spec.max_rounds or _default_cap(n, alpha, epsilon)
+    cap = spec.max_rounds or default_max_rounds(n, alpha, epsilon)
     phi0 = initial_phase_batch(n, spec.trials, spec.seed_base)
     plain = run_desync_batch(phi0, alpha, epsilon, cap)
     fast = run_fast_desync_batch(phi0, alpha, epsilon, cap)
     problem = SingleChannelProblem(n=n, alpha=alpha, epsilon=epsilon)
-    bound_d = desync_round_bound(problem)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         bound_f = fast_desync_round_bound(problem)
-    mean_d = plain.rounds.mean()
-    mean_f = fast.rounds.mean()
-    speedup = 100.0 * (mean_d - mean_f) / mean_d if mean_d > 0 else 0.0
-    rows = []
-    for mode, res in (("desync", plain), ("fast-desync", fast)):
-        mean, mx, std = _stats(res.rounds)
-        rows.append(
-            SweepRow(
-                mode=mode, n=n, channels=1, alpha=alpha, gamma=float("nan"),
-                epsilon=epsilon, trials=spec.trials, mean_rounds=mean,
-                max_rounds=mx, std_rounds=std, bound_desync=bound_d,
-                bound_fast=bound_f, speedup_pct=speedup,
-                failures=int(res.aborted.sum() + (~res.converged & ~res.aborted).sum()),
-            )
-        )
-    return rows
+    return _paired_rows(
+        spec, ("desync", "fast-desync"), plain, fast,
+        n=n, channels=1, alpha=alpha, gamma=float("nan"), epsilon=epsilon,
+        bound_desync=desync_round_bound(problem), bound_fast=bound_f,
+    )
 
 
 def _multichannel_point(args) -> list[SweepRow]:
     spec, alpha, gamma, epsilon = args
     C, n = spec.channels, spec.nodes_per_channel
     beta = alpha / 2.0
-    cap = spec.max_rounds or _default_cap(C * n, alpha, epsilon)
+    cap = spec.max_rounds or default_max_rounds(C * n, alpha, epsilon)
     phi0 = initial_multichannel_batch(C, n, spec.trials, spec.seed_base)
     plain = run_sync_desync_batch(phi0, beta, gamma, epsilon, cap, fast=False)
     fast = run_sync_desync_batch(phi0, beta, gamma, epsilon, cap, fast=True)
-    mean_p = plain.rounds.mean()
-    mean_f = fast.rounds.mean()
-    speedup = 100.0 * (mean_p - mean_f) / mean_p if mean_p > 0 else 0.0
-    rows = []
-    for mode, res in (("much", plain), ("fast-much", fast)):
-        mean, mx, std = _stats(res.rounds)
-        rows.append(
-            SweepRow(
-                mode=mode, n=n, channels=C, alpha=alpha, gamma=gamma,
-                epsilon=epsilon, trials=spec.trials, mean_rounds=mean,
-                max_rounds=mx, std_rounds=std, bound_desync=float("nan"),
-                bound_fast=float("nan"), speedup_pct=speedup,
-                failures=int(res.aborted.sum() + (~res.converged & ~res.aborted).sum()),
-            )
-        )
-    return rows
+    return _paired_rows(
+        spec, ("much", "fast-much"), plain, fast,
+        n=n, channels=C, alpha=alpha, gamma=gamma, epsilon=epsilon,
+        bound_desync=float("nan"), bound_fast=float("nan"),
+    )
 
 
 def _eventsim_point(args) -> list[SweepRow]:
@@ -391,33 +382,21 @@ class BoundsRow:
 
 
 def compare_bounds(spec: ExperimentSpec) -> list[BoundsRow]:
-    """Observed max rounds versus the worst-case bounds, per grid point.
-    A violated row indicates an implementation bug (hard failure upstream)."""
+    """Observed max rounds versus the worst-case bounds, per grid point, read
+    off the sweep's paired rows. A violated row indicates an implementation
+    bug (hard failure upstream)."""
     if spec.mode not in ("desync", "fast-desync"):
         raise SpecError("bound comparison needs a single-channel mode")
-    rows = []
-    for alpha in spec.alphas:
-        for epsilon in spec.epsilons:
-            cap = spec.max_rounds or _default_cap(spec.n, alpha, epsilon)
-            phi0 = initial_phase_batch(spec.n, spec.trials, spec.seed_base)
-            plain = run_desync_batch(phi0, alpha, epsilon, cap)
-            fast = run_fast_desync_batch(phi0, alpha, epsilon, cap)
-            problem = SingleChannelProblem(n=spec.n, alpha=alpha, epsilon=epsilon)
-            bound_d = desync_round_bound(problem)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                bound_f = fast_desync_round_bound(problem)
-            mx_d = int(plain.rounds.max())
-            mx_f = int(fast.rounds.max())
-            rows.append(
-                BoundsRow(
-                    n=spec.n, alpha=alpha, epsilon=epsilon, trials=spec.trials,
-                    max_rounds_desync=mx_d, bound_desync=bound_d,
-                    max_rounds_fast=mx_f, bound_fast=bound_f,
-                    violated=(mx_d > bound_d) or (mx_f > bound_f),
-                )
-            )
-    return rows
+    rows = run_sweep(spec).rows
+    return [
+        BoundsRow(
+            n=d.n, alpha=d.alpha, epsilon=d.epsilon, trials=d.trials,
+            max_rounds_desync=d.max_rounds, bound_desync=d.bound_desync,
+            max_rounds_fast=f.max_rounds, bound_fast=f.bound_fast,
+            violated=(d.max_rounds > d.bound_desync) or (f.max_rounds > f.bound_fast),
+        )
+        for d, f in zip(rows[::2], rows[1::2])
+    ]
 
 
 @dataclass

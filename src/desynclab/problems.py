@@ -12,10 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Lipschitz constant of the single-channel gradient: the ring Laplacian's
-# eigenvalues 2 - 2cos(2*pi*k/n) never exceed 4 (equality for even n).
-GRADIENT_LIPSCHITZ = 4.0
-
 
 def alpha_to_beta(alpha: float) -> float:
     """Jump-phase parameter -> gradient step size (beta = alpha/2)."""

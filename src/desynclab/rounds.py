@@ -87,17 +87,24 @@ class ConvergenceReport:
     initial_objective: float
 
 
-def _desync_map(phi: np.ndarray, alpha: float, d: np.ndarray) -> np.ndarray:
-    """One synchronous round: midpoint pull toward both phase neighbours,
-    with the wrap-around +-1 corrections carried by d."""
+def desync_map(phi: np.ndarray, alpha: float, d: np.ndarray) -> np.ndarray:
+    """One synchronous Desync round along the last axis: midpoint pull toward
+    both phase neighbours, with the wrap-around +-1 corrections carried by d.
+    Multichannel rounds use it with alpha = 2*beta on every channel."""
     return (1.0 - alpha) * phi + (alpha / 2.0) * (
-        np.roll(phi, 1) + np.roll(phi, -1) - d
+        np.roll(phi, 1, axis=-1) + np.roll(phi, -1, axis=-1) - d
     )
+
+
+def sync_map(first: np.ndarray, gamma: float) -> np.ndarray:
+    """Consensus row along the last (channel) axis: each channel's first node
+    moves toward the next channel's first node."""
+    return (1.0 - gamma) * first + gamma * np.roll(first, -1, axis=-1)
 
 
 def desync_round(state: DesyncState, problem: SingleChannelProblem) -> DesyncState:
     phi = as_phase_vector(state.phi, problem.n)
-    nxt = _desync_map(phi, problem.alpha, wrap_bias(problem.n))
+    nxt = desync_map(phi, problem.alpha, wrap_bias(problem.n))
     return DesyncState(phi=nxt, k=state.k + 1)
 
 
@@ -111,7 +118,7 @@ def fast_desync_round(state: NesterovState, problem: SingleChannelProblem) -> Ne
     momentum extrapolation with coefficient (k-1)/(k+2)."""
     mu = as_phase_vector(state.mu, problem.n)
     k = state.k + 1
-    phi_new = _desync_map(mu, problem.alpha, wrap_bias(problem.n))
+    phi_new = desync_map(mu, problem.alpha, wrap_bias(problem.n))
     mu_new = phi_new + momentum_coefficient(k) * (phi_new - state.phi)
     return NesterovState(phi=phi_new, phi_prev=state.phi, mu=mu_new, k=k)
 
@@ -122,16 +129,11 @@ def _sync_desync_map(
     """Apply one joint round. `sources` supplies the vectors the Desync rows
     read (phis for the plain variant, momentum vectors for the fast one);
     the consensus row always reads current first-node values."""
-    C = problem.num_channels
-    beta = problem.beta
+    first = sync_map(np.array([p[0] for p in phis]), problem.gamma)
     out = []
-    for c, n in enumerate(problem.channel_counts):
-        src = sources[c]
-        d = wrap_bias(n)
-        nxt = (1.0 - 2.0 * beta) * src + beta * (
-            np.roll(src, 1) + np.roll(src, -1) - d
-        )
-        nxt[0] = (1.0 - problem.gamma) * phis[c][0] + problem.gamma * phis[(c + 1) % C][0]
+    for c, src in enumerate(sources):
+        nxt = desync_map(src, problem.alpha, wrap_bias(src.size))
+        nxt[0] = first[c]
         out.append(nxt)
     return out
 
@@ -150,18 +152,14 @@ def fast_sync_desync_round(
     state: MultichannelState, problem: MultichannelProblem
 ) -> MultichannelState:
     """Joint round with in-channel acceleration: Desync coordinates run the
-    momentum scheme, Sync coordinates keep the plain consensus update."""
+    momentum scheme, Sync coordinates keep the plain consensus update. The
+    Desync rows read the momentum vectors, which mirror phi at index 0."""
     if state.mus is None:
         raise ValueError("state has no momentum memory; build it with nesterov=True")
     phis = as_channel_vectors(state.phis, problem)
     mus = as_channel_vectors(state.mus, problem)
     k = state.k + 1
-    sources = []
-    for c in range(problem.num_channels):
-        src = mus[c].copy()
-        src[0] = phis[c][0]
-        sources.append(src)
-    phi_new = _sync_desync_map(phis, problem, sources)
+    phi_new = _sync_desync_map(phis, problem, mus)
     coef = momentum_coefficient(k)
     mu_new = []
     for c in range(problem.num_channels):
@@ -171,17 +169,10 @@ def fast_sync_desync_round(
     return MultichannelState(phis=tuple(phi_new), mus=tuple(mu_new), k=k)
 
 
-def default_max_rounds(problem) -> int:
-    """10x the worst-case plain bound, so runs always terminate.
-
-    Multichannel problems reuse the single-channel formula with the total
-    node count and alpha = 2*beta.
-    """
-    if isinstance(problem, MultichannelProblem):
-        ref = SingleChannelProblem(
-            n=problem.total_nodes, alpha=problem.alpha, epsilon=1e-4
-        )
-        return int(math.ceil(10.0 * desync_round_bound(ref)))
+def default_max_rounds(nodes: int, alpha: float, epsilon: float) -> int:
+    """10x the worst-case plain bound for `nodes` nodes, so runs always
+    terminate. Multichannel runs pass the total node count and alpha = 2*beta."""
+    problem = SingleChannelProblem(n=nodes, alpha=alpha, epsilon=epsilon)
     return int(math.ceil(10.0 * desync_round_bound(problem)))
 
 
@@ -195,10 +186,10 @@ def _infer_round_op(state, problem) -> Callable:
     raise TypeError(f"no round operation known for state type {type(state)!r}")
 
 
-def _infer_objective(state, problem) -> Callable:
+def _objective(state, problem) -> float:
     if isinstance(state, MultichannelState):
-        return lambda s, p: multichannel_objective(s.phis, p)
-    return lambda s, p: desync_objective(s.phi, p)
+        return multichannel_objective(state.phis, problem)
+    return desync_objective(state.phi, problem)
 
 
 def run_until_convergence(
@@ -207,26 +198,28 @@ def run_until_convergence(
     epsilon: float | None = None,
     max_rounds: int | None = None,
     round_op: Callable | None = None,
-    objective_fn: Callable | None = None,
 ) -> ConvergenceReport:
     """Iterate a round operation until the objective drops to epsilon.
 
     The objective is evaluated once per completed round (and once on the
     initial state, so a fixed-point start reports zero rounds). Aborts
-    with a diagnostic if the objective ever becomes non-finite.
+    with a diagnostic if the objective ever becomes non-finite. Multichannel
+    problems carry no threshold, so their runs must pass `epsilon`.
     """
+    multichannel = isinstance(problem, MultichannelProblem)
     if epsilon is None:
+        if multichannel:
+            raise ValueError("epsilon is required for a MultichannelProblem")
         epsilon = problem.epsilon
     if max_rounds is None:
-        max_rounds = default_max_rounds(problem)
+        nodes = problem.total_nodes if multichannel else problem.n
+        max_rounds = default_max_rounds(nodes, problem.alpha, epsilon)
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     if round_op is None:
         round_op = _infer_round_op(state, problem)
-    if objective_fn is None:
-        objective_fn = _infer_objective(state, problem)
 
-    initial = float(objective_fn(state, problem))
+    initial = float(_objective(state, problem))
     if not np.isfinite(initial):
         raise FloatingPointError("non-finite objective on the initial state")
     if initial <= epsilon:
@@ -242,7 +235,7 @@ def run_until_convergence(
     value = initial
     for k in range(1, max_rounds + 1):
         state = round_op(state, problem)
-        value = float(objective_fn(state, problem))
+        value = float(_objective(state, problem))
         if not np.isfinite(value):
             raise FloatingPointError(
                 f"non-finite objective at round {k} (alpha/beta too aggressive?)"

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import wrap_bias
-from .rounds import momentum_coefficient
+from .objectives import gap_residual
+from .problems import beta_to_alpha, wrap_bias
+from .rounds import desync_map, momentum_coefficient, sync_map
 
 TIE_JITTER = 1e-12
 
@@ -49,19 +50,13 @@ def initial_multichannel_batch(
 
 def batch_gap_objective(phi: np.ndarray) -> np.ndarray:
     """Single-channel objective along the last axis of a (trials, n) batch."""
-    n = phi.shape[-1]
-    r = np.roll(phi, -1, axis=-1) - phi
-    r[..., -1] += 1.0
-    r -= 1.0 / n
+    r = gap_residual(phi)
     return 0.5 * np.sum(r * r, axis=-1)
 
 
 def batch_multichannel_objective(phi: np.ndarray) -> np.ndarray:
     """Joint objective for a (trials, C, n) batch."""
-    n = phi.shape[-1]
-    r = np.roll(phi, -1, axis=2) - phi
-    r[..., -1] += 1.0
-    r -= 1.0 / n
+    r = gap_residual(phi)
     per_channel = 0.5 * np.sum(r * r, axis=(1, 2))
     first = phi[:, :, 0]
     d = np.roll(first, -1, axis=1) - first
@@ -85,53 +80,45 @@ def _finalize(rounds, done, aborted, max_rounds) -> TrialBatchResult:
     return TrialBatchResult(rounds=rounds, converged=done & ~aborted, aborted=aborted)
 
 
-def run_desync_batch(
-    phi0: np.ndarray, alpha: float, epsilon: float, max_rounds: int
+def _run_batch(
+    phi0: np.ndarray,
+    alpha: float,
+    gamma: float | None,
+    epsilon: float,
+    max_rounds: int,
+    fast: bool,
 ) -> TrialBatchResult:
-    m, n = phi0.shape
+    """The one batch convergence loop over a (trials, n) array, or a
+    (trials, C, n) array when gamma is given; every round is the Desync map
+    on the last axis, then (multichannel) the consensus row at index 0.
+
+    The accelerated Desync rows read the momentum vector mu; Sync coordinates
+    never carry momentum, so mu[..., 0] == phi[..., 0] throughout. A trial
+    whose objective turns non-finite is aborted and zeroed; one still
+    unfinished after max_rounds is capped.
+    """
+    objective = batch_gap_objective if gamma is None else batch_multichannel_objective
+    m, n = phi0.shape[0], phi0.shape[-1]
     d = wrap_bias(n)
     phi = phi0.copy()
+    mu = phi.copy() if fast else phi
     rounds = np.zeros(m, dtype=np.int64)
     aborted = np.zeros(m, dtype=bool)
-    done = batch_gap_objective(phi) <= epsilon
+    done = objective(phi) <= epsilon
     for k in range(1, max_rounds + 1):
         if done.all():
             break
-        phi = (1.0 - alpha) * phi + (alpha / 2.0) * (
-            np.roll(phi, 1, axis=1) + np.roll(phi, -1, axis=1) - d
-        )
-        v = batch_gap_objective(phi)
-        bad = ~done & ~np.isfinite(v)
-        if bad.any():
-            aborted |= bad
-            done |= bad
-            rounds[bad] = max_rounds
-            phi[bad] = 0.0
-        newly = ~done & (v <= epsilon)
-        rounds[newly] = k
-        done |= newly
-    return _finalize(rounds, done, aborted, max_rounds)
-
-
-def run_fast_desync_batch(
-    phi0: np.ndarray, alpha: float, epsilon: float, max_rounds: int
-) -> TrialBatchResult:
-    m, n = phi0.shape
-    d = wrap_bias(n)
-    phi = phi0.copy()
-    mu = phi0.copy()
-    rounds = np.zeros(m, dtype=np.int64)
-    aborted = np.zeros(m, dtype=bool)
-    done = batch_gap_objective(phi) <= epsilon
-    for k in range(1, max_rounds + 1):
-        if done.all():
-            break
-        nxt = (1.0 - alpha) * mu + (alpha / 2.0) * (
-            np.roll(mu, 1, axis=1) + np.roll(mu, -1, axis=1) - d
-        )
-        mu = nxt + momentum_coefficient(k) * (nxt - phi)
+        nxt = desync_map(mu, alpha, d)
+        if gamma is not None:
+            nxt[..., 0] = sync_map(phi[..., 0], gamma)
+        if fast:
+            mu = nxt + momentum_coefficient(k) * (nxt - phi)
+            if gamma is not None:
+                mu[..., 0] = nxt[..., 0]
+        else:
+            mu = nxt
         phi = nxt
-        v = batch_gap_objective(phi)
+        v = objective(phi)
         bad = ~done & ~np.isfinite(v)
         if bad.any():
             aborted |= bad
@@ -145,12 +132,16 @@ def run_fast_desync_batch(
     return _finalize(rounds, done, aborted, max_rounds)
 
 
-def _joint_step(src: np.ndarray, first: np.ndarray, beta: float, gamma: float, d) -> np.ndarray:
-    nxt = (1.0 - 2.0 * beta) * src + beta * (
-        np.roll(src, 1, axis=2) + np.roll(src, -1, axis=2) - d
-    )
-    nxt[:, :, 0] = (1.0 - gamma) * first + gamma * np.roll(first, -1, axis=1)
-    return nxt
+def run_desync_batch(
+    phi0: np.ndarray, alpha: float, epsilon: float, max_rounds: int
+) -> TrialBatchResult:
+    return _run_batch(phi0, alpha, None, epsilon, max_rounds, fast=False)
+
+
+def run_fast_desync_batch(
+    phi0: np.ndarray, alpha: float, epsilon: float, max_rounds: int
+) -> TrialBatchResult:
+    return _run_batch(phi0, alpha, None, epsilon, max_rounds, fast=True)
 
 
 def run_sync_desync_batch(
@@ -163,34 +154,4 @@ def run_sync_desync_batch(
 ) -> TrialBatchResult:
     """Joint multichannel batch on a (trials, C, n) array, optionally with
     in-channel acceleration (Sync coordinates never carry momentum)."""
-    m, C, n = phi0.shape
-    d = wrap_bias(n)
-    phi = phi0.copy()
-    mu = phi0.copy()
-    rounds = np.zeros(m, dtype=np.int64)
-    aborted = np.zeros(m, dtype=bool)
-    done = batch_multichannel_objective(phi) <= epsilon
-    for k in range(1, max_rounds + 1):
-        if done.all():
-            break
-        if fast:
-            src = mu.copy()
-            src[:, :, 0] = phi[:, :, 0]
-            nxt = _joint_step(src, phi[:, :, 0], beta, gamma, d)
-            mu = nxt + momentum_coefficient(k) * (nxt - phi)
-            mu[:, :, 0] = nxt[:, :, 0]
-            phi = nxt
-        else:
-            phi = _joint_step(phi, phi[:, :, 0], beta, gamma, d)
-        v = batch_multichannel_objective(phi)
-        bad = ~done & ~np.isfinite(v)
-        if bad.any():
-            aborted |= bad
-            done |= bad
-            rounds[bad] = max_rounds
-            phi[bad] = 0.0
-            mu[bad] = 0.0
-        newly = ~done & (v <= epsilon)
-        rounds[newly] = k
-        done |= newly
-    return _finalize(rounds, done, aborted, max_rounds)
+    return _run_batch(phi0, beta_to_alpha(beta), gamma, epsilon, max_rounds, fast)

@@ -1,0 +1,114 @@
+"""Per-trial outcomes of the batch runners against the round engine, on
+diverging and capped trials, and the round engine's convergence defaults.
+
+A batch trial is aborted where the engine raises FloatingPointError, capped
+(not converged, rounds equal to the cap) where the engine stops at the cap,
+and converged after the same number of rounds as the engine.
+"""
+
+import numpy as np
+import pytest
+
+from desynclab import (
+    DesyncState,
+    MultichannelProblem,
+    MultichannelState,
+    NesterovState,
+    SingleChannelProblem,
+    run_until_convergence,
+)
+from desynclab.rounds import default_max_rounds
+from desynclab.trials import (
+    initial_multichannel_batch,
+    initial_phase_batch,
+    run_desync_batch,
+    run_fast_desync_batch,
+    run_sync_desync_batch,
+)
+
+TRIALS = 6
+
+
+def batch_outcomes(res):
+    return [
+        ("aborted" if a else "converged" if c else "capped", int(r))
+        for a, c, r in zip(res.aborted, res.converged, res.rounds)
+    ]
+
+
+def engine_outcome(state, problem, epsilon, cap):
+    try:
+        rep = run_until_convergence(state, problem, epsilon=epsilon, max_rounds=cap)
+    except FloatingPointError:
+        return ("aborted", cap)
+    return ("converged" if rep.converged else "capped", rep.rounds)
+
+
+def single_channel(n, alpha, epsilon, cap, fast):
+    phi0 = initial_phase_batch(n, TRIALS, seed_base=40)
+    runner = run_fast_desync_batch if fast else run_desync_batch
+    start = NesterovState.initial if fast else DesyncState
+    problem = SingleChannelProblem(n, alpha, epsilon)
+    engine = [engine_outcome(start(p), problem, epsilon, cap) for p in phi0]
+    return batch_outcomes(runner(phi0, alpha, epsilon, cap)), engine
+
+
+def multichannel(C, n, alpha, epsilon, cap, fast):
+    phi0 = initial_multichannel_batch(C, n, TRIALS, seed_base=40)
+    beta, gamma = alpha / 2.0, 0.6
+    problem = MultichannelProblem.uniform(C, n, beta, gamma)
+    engine = [
+        engine_outcome(MultichannelState.initial(list(p), nesterov=fast), problem, epsilon, cap)
+        for p in phi0
+    ]
+    return batch_outcomes(run_sync_desync_batch(phi0, beta, gamma, epsilon, cap, fast=fast)), engine
+
+
+# Caps of 617188 and 839507 are the sweep's defaults at these points.
+CASES = {
+    # name: (run, args, outcomes allowed, outcomes some trial must have)
+    "desync-unstable": (single_channel, (16, 0.8, 1e-3, 617188), {"converged"}, set()),
+    "fast-desync-unstable": (single_channel, (16, 0.8, 1e-3, 617188),
+                             {"converged", "aborted"}, {"aborted"}),
+    "desync-capped": (single_channel, (8, 0.1, 1e-6, 40), {"capped"}, {"capped"}),
+    "fast-desync-capped": (single_channel, (8, 0.7, 1e-6, 40),
+                           {"converged", "capped"}, {"capped"}),
+    "much-unstable": (multichannel, (3, 4, 0.9, 1e-3, 839507), {"converged"}, set()),
+    "fast-much-unstable": (multichannel, (3, 4, 0.9, 1e-3, 839507), {"aborted"}, {"aborted"}),
+    "much-capped": (multichannel, (3, 4, 0.4, 1e-6, 25), {"capped"}, {"capped"}),
+    "fast-much-capped": (multichannel, (3, 4, 0.9, 1e-3, 25), {"capped"}, {"capped"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_batch_outcomes_match_round_engine_per_trial(name):
+    run, args, allowed, required = CASES[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch, engine = run(*args, fast=name.startswith("fast"))
+    assert batch == engine
+    kinds = {kind for kind, _ in batch}
+    assert kinds <= allowed and required <= kinds, kinds
+    cap = args[-1]
+    for kind, rounds in batch:
+        assert (rounds == cap) if kind != "converged" else (rounds < cap)
+
+
+def mixed_state(C=3, n=4):
+    rng = np.random.default_rng(2)
+    return MultichannelState.initial([np.sort(rng.random(n)) * 10 for _ in range(C)])
+
+
+def test_multichannel_run_requires_epsilon():
+    problem = MultichannelProblem.uniform(3, 4, 0.2, 0.6)
+    with pytest.raises(ValueError, match="epsilon"):
+        run_until_convergence(mixed_state(), problem)
+
+
+def test_default_cap_uses_the_runs_epsilon():
+    # the sweep's cap at C * n = 12, alpha = 0.4, eps = 1e-3
+    assert default_max_rounds(12, 0.4, 1e-3) == 314815
+    problem = MultichannelProblem.uniform(3, 4, 0.2, 0.6)
+    stay = lambda state, problem: state  # never converges, so the run ends at the cap
+    rep = run_until_convergence(mixed_state(), problem, epsilon=1.0, round_op=stay)
+    assert not rep.converged
+    assert rep.rounds == default_max_rounds(12, 0.4, 1.0) == 315
