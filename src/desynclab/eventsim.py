@@ -554,18 +554,9 @@ class Simulation:
             for members in self.channel_members
         ]
 
-    def _finish_round(self) -> TraceRecord:
-        self.completed_rounds += 1
-        r = self.completed_rounds
-        offsets = self._current_offsets(r)
+    def _record(self, r: int, offsets: np.ndarray, order_changed: bool = False) -> TraceRecord:
+        """Append round r's trace record, taken at the current time."""
         obj = self.objective_of(offsets)
-        order = self._round_firing_order(r)
-        order_changed = (
-            self._prev_round_order is not None and order != self._prev_round_order
-        )
-        if order_changed:
-            self.order_change_rounds += 1
-        self._prev_round_order = order
         rec = TraceRecord(
             round_index=r,
             sim_time=self.time,
@@ -583,29 +574,26 @@ class Simulation:
         self.trace.append(rec)
         return rec
 
+    def _finish_round(self) -> TraceRecord:
+        self.completed_rounds += 1
+        r = self.completed_rounds
+        order = self._round_firing_order(r)
+        order_changed = (
+            self._prev_round_order is not None and order != self._prev_round_order
+        )
+        if order_changed:
+            self.order_change_rounds += 1
+        self._prev_round_order = order
+        return self._record(r, self._current_offsets(r), order_changed)
+
     def run(self) -> SimulationResult:
         cfg = self.config
         max_rounds = cfg.max_rounds
         if max_rounds is None:
             max_rounds = max(1000, 200 * cfg.n)
-        offsets0 = self._current_offsets(None)
-        obj0 = self.objective_of(offsets0)
-        self.trace.append(
-            TraceRecord(
-                round_index=0,
-                sim_time=0.0,
-                offsets_by_node=offsets0,
-                per_channel=[
-                    self._channel_vector(offsets0, c)
-                    for c in range(cfg.channels)
-                    if self.channel_members[c]
-                ],
-                objective=obj0,
-                occupancy=self.occupancy(),
-                converged=obj0 <= cfg.epsilon,
-            )
-        )
-        converged = obj0 <= cfg.epsilon
+        rec0 = self._record(0, self._current_offsets(None))
+        obj0 = rec0.objective
+        converged = rec0.converged
         rounds = 0
         final = obj0
         steady_round = None

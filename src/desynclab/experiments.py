@@ -406,15 +406,12 @@ class SpectraRow:
     beta: float
     gamma: float
     spectral_radius_deflated: float
-    max_spectrum_mismatch: float
     eigenvalue_one_multiplicity: int
     passed: bool
 
 
-def certify_spectra(
-    ns, cs, betas, gammas, mismatch_tol: float = 1e-9
-) -> list[SpectraRow]:
-    """Analytic-vs-numeric eigenvalue agreement and deflated spectral radius
+def certify_spectra(ns, cs, betas, gammas) -> list[SpectraRow]:
+    """Closed-form deflated spectral radius and eigenvalue-1 multiplicity
     over a parameter grid; out-of-range parameters are rejected outright."""
     for b in betas:
         if not 0.0 < b < 0.5:
@@ -427,21 +424,13 @@ def certify_spectra(
         for C in cs:
             for b in betas:
                 for g in gammas:
-                    problem = MultichannelProblem.uniform(C, n, b, g)
-                    rep = spectral_report(problem)
-                    passed = (
-                        rep.converges
-                        and rep.eigenvalue_one_multiplicity == 1
-                        and rep.max_spectrum_mismatch is not None
-                        and rep.max_spectrum_mismatch <= mismatch_tol
-                    )
+                    rep = spectral_report(MultichannelProblem.uniform(C, n, b, g))
                     rows.append(
                         SpectraRow(
                             n=n, channels=C, beta=b, gamma=g,
                             spectral_radius_deflated=rep.spectral_radius_deflated,
-                            max_spectrum_mismatch=rep.max_spectrum_mismatch,
                             eigenvalue_one_multiplicity=rep.eigenvalue_one_multiplicity,
-                            passed=passed,
+                            passed=rep.converges and rep.eigenvalue_one_multiplicity == 1,
                         )
                     )
     return rows
@@ -499,7 +488,9 @@ def write_spectra_csv(rows, path):
                     _fmt(v)
                     for v in (
                         r.n, r.channels, r.beta, r.gamma,
-                        r.spectral_radius_deflated, r.max_spectrum_mismatch,
+                        # No numeric spectrum is computed, so the mismatch
+                        # column reads nan ("does not apply").
+                        r.spectral_radius_deflated, float("nan"),
                         r.eigenvalue_one_multiplicity, int(r.passed),
                     )
                 )

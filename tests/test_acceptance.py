@@ -38,6 +38,7 @@ from desynclab import (
     sync_selector,
 )
 from desynclab.experiments import DEFAULT_ALPHAS, DEFAULT_ALPHAS_PAIRED
+from desynclab.spectral import _match_spectra
 from desynclab.trials import (
     initial_multichannel_batch,
     initial_phase_batch,
@@ -229,29 +230,37 @@ def test_criterion_3_fast_much_speedup(multichannel_sweep):
     )
 
 
-def test_criterion_4_spectral_certification():
+def test_criterion_4_spectral_certification(dense_spectrum):
     betas = (0.05, 0.15, 0.25, 0.35, 0.45)
     gammas = (0.1, 0.3, 0.5, 0.7, 0.9)
     ns = (3, 4, 6)
     cs = (2, 3, 4)
     worst_mismatch = 0.0
+    worst_rho_error = 0.0
     worst_rho = 0.0
     ok = True
     for beta in betas:
         for gamma in gammas:
             for n in ns:
                 for C in cs:
-                    rep = spectral_report(MultichannelProblem.uniform(C, n, beta, gamma))
-                    worst_mismatch = max(worst_mismatch, rep.max_spectrum_mismatch)
+                    problem = MultichannelProblem.uniform(C, n, beta, gamma)
+                    rep = spectral_report(problem)
+                    eig, rho = dense_spectrum(problem)
+                    mismatch = _match_spectra(rep.eigenvalues_M, eig)
+                    rho_error = abs(rep.spectral_radius_deflated - rho)
+                    worst_mismatch = max(worst_mismatch, mismatch)
+                    worst_rho_error = max(worst_rho_error, rho_error)
                     worst_rho = max(worst_rho, rep.spectral_radius_deflated)
                     ok = ok and (
-                        rep.max_spectrum_mismatch <= 1e-9
+                        mismatch <= 1e-9
+                        and rho_error <= 1e-12
                         and rep.eigenvalue_one_multiplicity == 1
                         and rep.spectral_radius_deflated < 1.0
                     )
     assert report(
         "4 (spectral certification)", ok,
-        f"5x5x3x3 grid: worst analytic/numeric mismatch {worst_mismatch:.2e}, "
+        f"5x5x3x3 grid: worst closed-form/dense mismatch {worst_mismatch:.2e}, "
+        f"worst deflated-radius error {worst_rho_error:.2e}, "
         f"eigenvalue 1 simple everywhere, worst deflated radius {worst_rho:.6f}",
     )
 

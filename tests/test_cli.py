@@ -67,7 +67,9 @@ def test_spectra_command(tmp_path):
     assert main(["spectra", "--config", cfg, "--out", str(out)]) == EXIT_OK
     lines = (out / "spectra.csv").read_text().splitlines()
     assert lines[0].startswith("n,channels,beta,gamma")
-    assert lines[1].endswith(",1")  # passed
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["max_spectrum_mismatch"] == "nan"  # no numeric spectrum is computed
+    assert row["passed"] == "1"
 
 
 def test_spectra_rejects_out_of_range(tmp_path):

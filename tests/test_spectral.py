@@ -1,16 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import desynclab
 from desynclab import (
     MultichannelProblem,
     MultichannelState,
     build_iteration_matrix,
+    certify_spectra,
     consensus_block_eigenvalues,
     desync_block_eigenvalues,
     spectral_report,
     sync_desync_round,
     sync_selector,
 )
+from desynclab.spectral import _match_spectra
 
 
 def test_small_matrix_by_unit_basis_oracle():
@@ -84,24 +92,42 @@ def test_consensus_block_eigenvalues_against_dft_oracle():
     assert any(np.isclose(analytic, -0.2, atol=1e-12))
 
 
-def test_spectral_report_uniform():
-    p = MultichannelProblem.uniform(4, 4, 0.25, 0.6)
+def check_against_dense_oracle(p, dense_spectrum):
     rep = spectral_report(p)
-    assert rep.max_spectrum_mismatch <= 1e-9
+    eig, rho = dense_spectrum(p)
+    assert len(rep.eigenvalues_M) == p.total_nodes
+    assert _match_spectra(rep.eigenvalues_M, eig) <= 1e-9
+    assert abs(rep.spectral_radius_deflated - rho) <= 1e-12
     assert rep.eigenvalue_one_multiplicity == 1
-    assert rep.spectral_radius_deflated < 1.0
     assert rep.converges
-    assert len(rep.eigenvalues_T) == 3
-    assert len(rep.eigenvalues_R) == 4
 
 
-def test_spectral_report_nonuniform_numeric_only():
-    p = MultichannelProblem((2, 3, 4), 0.2, 0.6)
-    rep = spectral_report(p)
-    assert rep.eigenvalues_T is None
-    assert rep.eigenvalues_R is None
-    assert rep.max_spectrum_mismatch is None
-    assert rep.spectral_radius_deflated < 1.0
+def test_spectral_report_uniform(dense_spectrum):
+    check_against_dense_oracle(MultichannelProblem.uniform(4, 4, 0.25, 0.6), dense_spectrum)
+    check_against_dense_oracle(MultichannelProblem((2, 2), 0.25, 0.5), dense_spectrum)
+
+
+def test_spectral_report_nonuniform(dense_spectrum):
+    check_against_dense_oracle(MultichannelProblem((3, 5, 7, 4), 0.2, 0.6), dense_spectrum)
+    check_against_dense_oracle(MultichannelProblem((2, 3, 4), 0.2, 0.6), dense_spectrum)
+
+
+def test_certificate_above_dense_cap():
+    # N = 8192 is above the dense oracle's cap; the closed form needs no matrix
+    rows = certify_spectra(ns=(64,), cs=(128,), betas=(0.2,), gammas=(0.6,))
+    assert len(rows) == 1 and rows[0].passed
+    assert rows[0].eigenvalue_one_multiplicity == 1
+    assert rows[0].spectral_radius_deflated < 1.0
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the dense oracle matches spectra with it
+    src = str(Path(desynclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, desynclab; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_deflated_radius_below_one_on_parameter_grid():
