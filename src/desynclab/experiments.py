@@ -276,10 +276,9 @@ def _paired_rows(spec, modes, plain, fast, **point) -> list[SweepRow]:
 
 
 def _single_channel_point(args) -> list[SweepRow]:
-    spec, alpha, epsilon = args
+    spec, phi0, alpha, epsilon = args
     n = spec.n
     cap = spec.max_rounds or default_max_rounds(n, alpha, epsilon)
-    phi0 = initial_phase_batch(n, spec.trials, spec.seed_base)
     plain = run_desync_batch(phi0, alpha, epsilon, cap)
     fast = run_fast_desync_batch(phi0, alpha, epsilon, cap)
     problem = SingleChannelProblem(n=n, alpha=alpha, epsilon=epsilon)
@@ -294,11 +293,10 @@ def _single_channel_point(args) -> list[SweepRow]:
 
 
 def _multichannel_point(args) -> list[SweepRow]:
-    spec, alpha, gamma, epsilon = args
+    spec, phi0, alpha, gamma, epsilon = args
     C, n = spec.channels, spec.nodes_per_channel
     beta = alpha / 2.0
     cap = spec.max_rounds or default_max_rounds(C * n, alpha, epsilon)
-    phi0 = initial_multichannel_batch(C, n, spec.trials, spec.seed_base)
     plain = run_sync_desync_batch(phi0, beta, gamma, epsilon, cap, fast=False)
     fast = run_sync_desync_batch(phi0, beta, gamma, epsilon, cap, fast=True)
     return _paired_rows(
@@ -342,13 +340,18 @@ def _eventsim_point(args) -> list[SweepRow]:
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """Run every grid point of the spec. Single-channel modes always run the
     plain and accelerated variants on identical per-trial starts, so the
-    speed-up statistic is defined; the mode only selects the default grid."""
+    speed-up statistic is defined; the mode only selects the default grid.
+    The start batch is sampled once and shared by every grid point."""
     if spec.mode in ("desync", "fast-desync"):
-        points = [(spec, a, e) for a in spec.alphas for e in spec.epsilons]
+        phi0 = initial_phase_batch(spec.n, spec.trials, spec.seed_base)
+        points = [(spec, phi0, a, e) for a in spec.alphas for e in spec.epsilons]
         worker = _single_channel_point
     elif spec.mode in ("much", "fast-much"):
+        phi0 = initial_multichannel_batch(
+            spec.channels, spec.nodes_per_channel, spec.trials, spec.seed_base
+        )
         points = [
-            (spec, a, g, e)
+            (spec, phi0, a, g, e)
             for a in spec.alphas for g in spec.gammas for e in spec.epsilons
         ]
         worker = _multichannel_point

@@ -26,7 +26,9 @@ def gap_residual(phi: np.ndarray) -> np.ndarray:
     """Consecutive-gap residual: (phi[i+1] - phi[i]) - 1/n, with the wrap gap
     phi[0] + 1 - phi[n-1] in the last slot. Works on a trailing axis."""
     n = phi.shape[-1]
-    r = np.roll(phi, -1, axis=-1) - phi
+    r = np.empty(phi.shape)
+    np.subtract(phi[..., 1:], phi[..., :-1], out=r[..., :-1])  # roll(phi, -1) - phi
+    np.subtract(phi[..., 0], phi[..., -1], out=r[..., -1])
     r[..., -1] += 1.0
     r -= 1.0 / n
     return r

@@ -87,13 +87,35 @@ class ConvergenceReport:
     initial_objective: float
 
 
-def desync_map(phi: np.ndarray, alpha: float, d: np.ndarray) -> np.ndarray:
-    """One synchronous Desync round along the last axis: midpoint pull toward
-    both phase neighbours, with the wrap-around +-1 corrections carried by d.
-    Multichannel rounds use it with alpha = 2*beta on every channel."""
-    return (1.0 - alpha) * phi + (alpha / 2.0) * (
-        np.roll(phi, 1, axis=-1) + np.roll(phi, -1, axis=-1) - d
-    )
+def desync_map(
+    phi: np.ndarray,
+    alpha: float,
+    d: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """One synchronous Desync round along the last axis,
+    (1-alpha) phi + (alpha/2) (roll(phi, 1) + roll(phi, -1) - d): midpoint
+    pull toward both phase neighbours, with the wrap-around +-1 corrections
+    carried by d. Multichannel rounds use it with alpha = 2*beta on every
+    channel.
+
+    `out` receives the result and `work` is scratch, both shaped like phi
+    and neither aliasing it; each is allocated when not given. The rolls
+    are slice copies, in the same operation order, so results do not
+    depend on whether buffers are passed."""
+    if out is None:
+        out = np.empty(phi.shape)
+    if work is None:
+        work = np.empty(phi.shape)
+    work[..., 1:] = phi[..., :-1]          # roll(phi, 1)
+    work[..., 0] = phi[..., -1]
+    work[..., :-1] += phi[..., 1:]         # + roll(phi, -1)
+    work[..., -1] += phi[..., 0]
+    np.subtract(work, d, out=work)
+    np.multiply(work, alpha / 2.0, out=work)
+    np.multiply(phi, 1.0 - alpha, out=out)
+    return np.add(out, work, out=out)
 
 
 def sync_map(first: np.ndarray, gamma: float) -> np.ndarray:

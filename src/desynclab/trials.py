@@ -30,34 +30,49 @@ def sample_initial_phases(rng: np.random.Generator, n: int) -> np.ndarray:
     return phi
 
 
+def _sorted_starts(trials: int, shape: tuple, seed_base: int, resample) -> np.ndarray:
+    """(trials, *shape) batch of uniform [0,1) draws from one generator per
+    trial (seed_base + t), sorted along the last axis in one call. A trial
+    with an exact tie is redrawn by `resample(rng)` from a fresh generator
+    on its seed, so every row equals the per-trial sampler's."""
+    out = np.empty((trials, *shape))
+    for t in range(trials):
+        np.random.default_rng(seed_base + t).random(out=out[t])
+    out.sort(axis=-1)
+    ties = (np.diff(out, axis=-1) == 0.0).reshape(trials, -1).any(axis=1)
+    for t in np.flatnonzero(ties):
+        out[t] = resample(np.random.default_rng(seed_base + int(t)))
+    return out
+
+
 def initial_phase_batch(n: int, trials: int, seed_base: int) -> np.ndarray:
-    return np.stack(
-        [sample_initial_phases(np.random.default_rng(seed_base + t), n) for t in range(trials)]
-    )
+    """(trials, n) batch; row t is sample_initial_phases(default_rng(seed_base + t), n)."""
+    return _sorted_starts(trials, (n,), seed_base, lambda rng: sample_initial_phases(rng, n))
 
 
 def initial_multichannel_batch(
     channels: int, nodes_per_channel: int, trials: int, seed_base: int
 ) -> np.ndarray:
-    """(trials, C, n) batch; each channel independently sorted uniform."""
-    out = np.empty((trials, channels, nodes_per_channel))
-    for t in range(trials):
-        rng = np.random.default_rng(seed_base + t)
-        for c in range(channels):
-            out[t, c] = sample_initial_phases(rng, nodes_per_channel)
-    return out
+    """(trials, C, n) batch; each channel independently sorted uniform, drawn
+    channel after channel from the trial's generator."""
+    def resample(rng):
+        return [sample_initial_phases(rng, nodes_per_channel) for _ in range(channels)]
+
+    return _sorted_starts(trials, (channels, nodes_per_channel), seed_base, resample)
 
 
 def batch_gap_objective(phi: np.ndarray) -> np.ndarray:
     """Single-channel objective along the last axis of a (trials, n) batch."""
     r = gap_residual(phi)
-    return 0.5 * np.sum(r * r, axis=-1)
+    r *= r
+    return 0.5 * r.sum(axis=-1)
 
 
 def batch_multichannel_objective(phi: np.ndarray) -> np.ndarray:
     """Joint objective for a (trials, C, n) batch."""
     r = gap_residual(phi)
-    per_channel = 0.5 * np.sum(r * r, axis=(1, 2))
+    r *= r
+    per_channel = 0.5 * r.sum(axis=(1, 2))
     first = phi[:, :, 0]
     d = np.roll(first, -1, axis=1) - first
     return per_channel + 0.5 * np.sum(d * d, axis=1)
@@ -74,12 +89,6 @@ class TrialBatchResult:
         return bool(self.converged.all()) and not bool(self.aborted.any())
 
 
-def _finalize(rounds, done, aborted, max_rounds) -> TrialBatchResult:
-    rounds = rounds.copy()
-    rounds[~done] = max_rounds
-    return TrialBatchResult(rounds=rounds, converged=done & ~aborted, aborted=aborted)
-
-
 def _run_batch(
     phi0: np.ndarray,
     alpha: float,
@@ -94,42 +103,57 @@ def _run_batch(
 
     The accelerated Desync rows read the momentum vector mu; Sync coordinates
     never carry momentum, so mu[..., 0] == phi[..., 0] throughout. A trial
-    whose objective turns non-finite is aborted and zeroed; one still
-    unfinished after max_rounds is capped.
+    whose objective turns non-finite is aborted; one still unfinished after
+    max_rounds is capped.
+
+    Only live trials are stepped: `live` indexes the rows of phi and mu in
+    the batch, and a trial that converges or aborts is dropped from both in
+    that round. Per-trial arithmetic is elementwise along the last axes, so
+    dropping rows changes no result. The rounds run in reused buffers, and
+    overflow of a diverging trial is detected by the objective's finiteness
+    test rather than reported as a floating-point warning.
     """
     objective = batch_gap_objective if gamma is None else batch_multichannel_objective
     m, n = phi0.shape[0], phi0.shape[-1]
     d = wrap_bias(n)
-    phi = phi0.copy()
-    mu = phi.copy() if fast else phi
-    rounds = np.zeros(m, dtype=np.int64)
+    rounds = np.full(m, max_rounds, dtype=np.int64)
     aborted = np.zeros(m, dtype=bool)
-    done = objective(phi) <= epsilon
-    for k in range(1, max_rounds + 1):
-        if done.all():
-            break
-        nxt = desync_map(mu, alpha, d)
-        if gamma is not None:
-            nxt[..., 0] = sync_map(phi[..., 0], gamma)
-        if fast:
-            mu = nxt + momentum_coefficient(k) * (nxt - phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        converged = objective(phi0) <= epsilon
+        rounds[converged] = 0
+        live = np.flatnonzero(~converged)
+        phi = phi0[live]
+        mu = phi.copy() if fast else phi
+        nxt, work = np.empty_like(phi), np.empty_like(phi)
+        for k in range(1, max_rounds + 1):
+            if live.size == 0:
+                break
+            desync_map(mu, alpha, d, out=nxt, work=work)
             if gamma is not None:
-                mu[..., 0] = nxt[..., 0]
-        else:
-            mu = nxt
-        phi = nxt
-        v = objective(phi)
-        bad = ~done & ~np.isfinite(v)
-        if bad.any():
-            aborted |= bad
-            done |= bad
-            rounds[bad] = max_rounds
-            phi[bad] = 0.0
-            mu[bad] = 0.0
-        newly = ~done & (v <= epsilon)
-        rounds[newly] = k
-        done |= newly
-    return _finalize(rounds, done, aborted, max_rounds)
+                nxt[..., 0] = sync_map(phi[..., 0], gamma)
+            if fast:
+                # mu = (nxt - phi) * coef + nxt in mu's buffer: the same bits
+                # as nxt + coef * (nxt - phi), since + and * commute exactly
+                np.subtract(nxt, phi, out=mu)
+                np.multiply(mu, momentum_coefficient(k), out=mu)
+                np.add(mu, nxt, out=mu)
+                if gamma is not None:
+                    mu[..., 0] = nxt[..., 0]
+            phi, nxt = nxt, phi
+            if not fast:
+                mu = phi
+            v = objective(phi)
+            keep = (v > epsilon) & np.isfinite(v)
+            if not keep.all():
+                newly = v <= epsilon
+                aborted[live[~keep & ~newly]] = True
+                rounds[live[newly]] = k
+                converged[live[newly]] = True
+                live = live[keep]
+                phi = phi[keep]
+                mu = mu[keep] if fast else phi
+                nxt, work = nxt[: live.size], work[: live.size]
+    return TrialBatchResult(rounds=rounds, converged=converged, aborted=aborted)
 
 
 def run_desync_batch(
