@@ -33,6 +33,7 @@ from .spectral import (
     build_iteration_matrix,
     consensus_block_eigenvalues,
     desync_block_eigenvalues,
+    momentum_onset,
     spectral_report,
     sync_selector,
 )

@@ -23,6 +23,18 @@ from .problems import (
     as_phase_vector,
     wrap_bias,
 )
+from .spectral import momentum_onset
+
+GROWTH = 1e6
+"""Factor over its start objective past which an accelerated trial counts as
+diverged, once its round reaches the momentum onset. Past the onset an
+unstable mode grows geometrically and carries the objective on to float
+overflow, so the trials this aborts are exactly the ones that would
+overflow, hundreds of rounds earlier. Stable runs have no onset; trials of
+an unstable run that converge never rise above their start value, and
+Nesterov's (k-1)/(k+2) momentum keeps stable modes free of large transient
+growth (Su, Boyd and Candes, JMLR 2016), so six orders of magnitude sit far
+above any transient and far below overflow."""
 
 
 @dataclass(frozen=True)
@@ -118,10 +130,27 @@ def desync_map(
     return np.add(out, work, out=out)
 
 
-def sync_map(first: np.ndarray, gamma: float) -> np.ndarray:
-    """Consensus row along the last (channel) axis: each channel's first node
-    moves toward the next channel's first node."""
-    return (1.0 - gamma) * first + gamma * np.roll(first, -1, axis=-1)
+def sync_map(
+    first: np.ndarray,
+    gamma: float,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Consensus row along the last (channel) axis,
+    (1-gamma) first + gamma roll(first, -1): each channel's first node moves
+    toward the next channel's first node.
+
+    `out` and `work` are as in `desync_map`, shaped like first; the roll is
+    a slice copy, in the same operation order."""
+    if out is None:
+        out = np.empty(first.shape)
+    if work is None:
+        work = np.empty(first.shape)
+    work[..., :-1] = first[..., 1:]        # roll(first, -1)
+    work[..., -1] = first[..., 0]
+    np.multiply(work, gamma, out=work)
+    np.multiply(first, 1.0 - gamma, out=out)
+    return np.add(out, work, out=out)
 
 
 def desync_round(state: DesyncState, problem: SingleChannelProblem) -> DesyncState:
@@ -198,6 +227,17 @@ def default_max_rounds(nodes: int, alpha: float, epsilon: float) -> int:
     return int(math.ceil(10.0 * desync_round_bound(problem)))
 
 
+def diverging(value, start, k: int, onset: int | None):
+    """The abort rule of both convergence loops, elementwise over objective
+    values: non-finite, or, at a round k at or after the momentum onset
+    (`spectral.momentum_onset`), above GROWTH times the start objective.
+    Plain runs pass onset None and abort on non-finite values only."""
+    out = ~np.isfinite(value)
+    if onset is not None and k >= onset:
+        out |= value > GROWTH * start
+    return out
+
+
 def _infer_round_op(state, problem) -> Callable:
     if isinstance(state, DesyncState):
         return desync_round
@@ -224,9 +264,10 @@ def run_until_convergence(
     """Iterate a round operation until the objective drops to epsilon.
 
     The objective is evaluated once per completed round (and once on the
-    initial state, so a fixed-point start reports zero rounds). Aborts
-    with a diagnostic if the objective ever becomes non-finite. Multichannel
-    problems carry no threshold, so their runs must pass `epsilon`.
+    initial state, so a fixed-point start reports zero rounds). Raises
+    FloatingPointError when the objective diverges by `diverging`'s rule,
+    the one the batch loop applies. Multichannel problems carry no
+    threshold, so their runs must pass `epsilon`.
     """
     multichannel = isinstance(problem, MultichannelProblem)
     if epsilon is None:
@@ -253,14 +294,19 @@ def run_until_convergence(
             initial_objective=initial,
         )
 
+    momentum = isinstance(state, NesterovState) or (
+        isinstance(state, MultichannelState) and state.mus is not None
+    )
+    onset = momentum_onset(problem) if momentum else None
     trace = []
     value = initial
     for k in range(1, max_rounds + 1):
         state = round_op(state, problem)
         value = float(_objective(state, problem))
-        if not np.isfinite(value):
+        if diverging(value, initial, k, onset):
             raise FloatingPointError(
-                f"non-finite objective at round {k} (alpha/beta too aggressive?)"
+                f"objective diverged at round {k}: {value!r} from {initial!r} "
+                f"(momentum onset {onset}; alpha/beta too aggressive?)"
             )
         trace.append(value)
         if value <= epsilon:

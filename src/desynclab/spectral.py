@@ -13,11 +13,12 @@ the closed form against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import MultichannelProblem
+from .problems import MultichannelProblem, SingleChannelProblem
 
 # The dense matrix is a small-N oracle; anything bigger is out of scope.
 MAX_MATRIX_SIZE = 4096
@@ -74,6 +75,42 @@ def consensus_block_eigenvalues(C: int, gamma: float) -> np.ndarray:
     1 - gamma + gamma exp(2 pi i j / C), j = 1..C (j = C gives 1)."""
     j = np.arange(1, C + 1)
     return 1.0 - gamma + gamma * np.exp(2j * np.pi * j / C)
+
+
+def momentum_onset(problem: SingleChannelProblem | MultichannelProblem) -> int | None:
+    """First round k at which the accelerated iteration of `problem` is
+    unstable, or None when it is stable at every k.
+
+    A Desync eigenvalue lam under momentum m_k = (k-1)/(k+2) evolves by the
+    companion recurrence z^2 - (1+m_k) lam z + m_k lam, whose roots leave the
+    unit disc through -1 once lam (1 + 2 m_k) < -1. With 1 + 2 m_k =
+    3k/(k+2) that is k > 2 / (-1 - 3 lam), so only lam < -1/3 ever turns
+    unstable, and the most negative eigenvalue turns first. Single channel:
+    lam_j = 1 - alpha + alpha cos(2 pi j / n), j = 1..n-1, which gives the
+    limit alpha < 2/3 for even n and alpha < (4/3) / (1 + cos(pi/n)) for
+    odd n. Multichannel: every channel's Desync block with alpha = 2 beta;
+    the consensus block carries no momentum."""
+    if isinstance(problem, MultichannelProblem):
+        lam = min(desync_block_eigenvalues(n, problem.beta).min() for n in problem.channel_counts)
+    else:
+        j = np.arange(1, problem.n)
+        lam = (1.0 - problem.alpha + problem.alpha * np.cos(2.0 * np.pi * j / problem.n)).min()
+    lam = float(lam)
+    if 3.0 * lam + 1.0 >= 0.0:
+        return None
+
+    def unstable(k: int) -> bool:
+        return lam * (1.0 + 2.0 * (k - 1) / (k + 2)) < -1.0
+
+    # the first integer above 2 / (-1 - 3 lam), moved onto the float test
+    # where rounding puts it one step off
+    k = max(1, math.floor(2.0 / (-1.0 - 3.0 * lam)) + 1)
+    for _ in range(2):
+        if k > 1 and unstable(k - 1):
+            k -= 1
+        elif not unstable(k):
+            k += 1
+    return k
 
 
 @dataclass

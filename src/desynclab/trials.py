@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import gap_residual
-from .problems import beta_to_alpha, wrap_bias
-from .rounds import desync_map, momentum_coefficient, sync_map
+from .problems import MultichannelProblem, SingleChannelProblem, beta_to_alpha, wrap_bias
+from .rounds import desync_map, diverging, momentum_coefficient, sync_map
+from .spectral import momentum_onset
 
 TIE_JITTER = 1e-12
 
@@ -74,15 +75,18 @@ def batch_multichannel_objective(phi: np.ndarray) -> np.ndarray:
     r *= r
     per_channel = 0.5 * r.sum(axis=(1, 2))
     first = phi[:, :, 0]
-    d = np.roll(first, -1, axis=1) - first
-    return per_channel + 0.5 * np.sum(d * d, axis=1)
+    d = np.empty(first.shape)
+    np.subtract(first[:, 1:], first[:, :-1], out=d[:, :-1])  # roll(first, -1) - first
+    np.subtract(first[:, 0], first[:, -1], out=d[:, -1])
+    d *= d
+    return per_channel + 0.5 * d.sum(axis=1)
 
 
 @dataclass
 class TrialBatchResult:
     rounds: np.ndarray      # per-trial rounds to convergence (= max_rounds if not converged)
     converged: np.ndarray   # per-trial flag
-    aborted: np.ndarray     # per-trial non-finite-objective flag
+    aborted: np.ndarray     # per-trial flag: diverged by rounds.diverging
 
     @property
     def ok(self) -> bool:
@@ -102,35 +106,45 @@ def _run_batch(
     on the last axis, then (multichannel) the consensus row at index 0.
 
     The accelerated Desync rows read the momentum vector mu; Sync coordinates
-    never carry momentum, so mu[..., 0] == phi[..., 0] throughout. A trial
-    whose objective turns non-finite is aborted; one still unfinished after
-    max_rounds is capped.
+    never carry momentum, so mu[..., 0] == phi[..., 0] throughout. A trial is
+    aborted by `rounds.diverging`, the round engine's rule: a non-finite
+    objective, or, for momentum runs from the closed-form onset round on, an
+    objective grown GROWTH-fold past the trial's start. One still unfinished
+    after max_rounds is capped.
 
     Only live trials are stepped: `live` indexes the rows of phi and mu in
     the batch, and a trial that converges or aborts is dropped from both in
     that round. Per-trial arithmetic is elementwise along the last axes, so
-    dropping rows changes no result. The rounds run in reused buffers, and
-    overflow of a diverging trial is detected by the objective's finiteness
-    test rather than reported as a floating-point warning.
+    dropping rows changes no result. The rounds run in reused buffers, under
+    np.errstate, so no floating-point warning reaches stderr.
     """
     objective = batch_gap_objective if gamma is None else batch_multichannel_objective
     m, n = phi0.shape[0], phi0.shape[-1]
     d = wrap_bias(n)
+    onset = None
+    if fast:
+        onset = momentum_onset(
+            SingleChannelProblem(n, alpha, epsilon) if gamma is None
+            else MultichannelProblem.uniform(phi0.shape[1], n, alpha / 2.0, gamma)
+        )
     rounds = np.full(m, max_rounds, dtype=np.int64)
     aborted = np.zeros(m, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        converged = objective(phi0) <= epsilon
+        start = objective(phi0)
+        converged = start <= epsilon
         rounds[converged] = 0
         live = np.flatnonzero(~converged)
+        start = start[live]
         phi = phi0[live]
         mu = phi.copy() if fast else phi
         nxt, work = np.empty_like(phi), np.empty_like(phi)
+        sync_work = np.empty(phi.shape[:-1])
         for k in range(1, max_rounds + 1):
             if live.size == 0:
                 break
             desync_map(mu, alpha, d, out=nxt, work=work)
             if gamma is not None:
-                nxt[..., 0] = sync_map(phi[..., 0], gamma)
+                sync_map(phi[..., 0], gamma, out=nxt[..., 0], work=sync_work)
             if fast:
                 # mu = (nxt - phi) * coef + nxt in mu's buffer: the same bits
                 # as nxt + coef * (nxt - phi), since + and * commute exactly
@@ -143,16 +157,16 @@ def _run_batch(
             if not fast:
                 mu = phi
             v = objective(phi)
-            keep = (v > epsilon) & np.isfinite(v)
+            keep = (v > epsilon) & ~diverging(v, start, k, onset)
             if not keep.all():
                 newly = v <= epsilon
                 aborted[live[~keep & ~newly]] = True
                 rounds[live[newly]] = k
                 converged[live[newly]] = True
-                live = live[keep]
+                live, start = live[keep], start[keep]
                 phi = phi[keep]
                 mu = mu[keep] if fast else phi
-                nxt, work = nxt[: live.size], work[: live.size]
+                nxt, work, sync_work = nxt[: live.size], work[: live.size], sync_work[: live.size]
     return TrialBatchResult(rounds=rounds, converged=converged, aborted=aborted)
 
 

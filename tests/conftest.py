@@ -18,3 +18,18 @@ def _dense_spectrum(problem):
 @pytest.fixture
 def dense_spectrum():
     return _dense_spectrum
+
+
+def _dense_desync_spectrum(problem):
+    """Brute-force oracle for the eigenvalues momentum acts on: the dense M
+    restricted to the Desync coordinates (every index but each channel's
+    first). Sync rows read only Sync coordinates, so this block's spectrum
+    is that of the Desync blocks together."""
+    M, _ = build_iteration_matrix(problem)
+    desync = np.flatnonzero(sync_selector(problem) == 0.0)
+    return np.linalg.eigvals(M[np.ix_(desync, desync)]).real
+
+
+@pytest.fixture
+def dense_desync_spectrum():
+    return _dense_desync_spectrum

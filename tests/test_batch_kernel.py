@@ -1,8 +1,8 @@
 """Bitwise oracles for the batch kernel: the batched start samplers against
-the per-trial sampler, the buffered Desync map and the slice-built gap
-residual against their np.roll forms, and the compacting batch loop
-against the round engine on batches that mix converged, aborted and capped
-trials.
+the per-trial sampler, the buffered Desync and consensus maps and the
+slice-built objectives against their np.roll forms, and the compacting
+batch loop against the round engine on batches that mix converged, aborted
+and capped trials.
 """
 
 import warnings
@@ -13,8 +13,9 @@ import pytest
 from desynclab import experiments as ex
 from desynclab.objectives import gap_residual
 from desynclab.problems import wrap_bias
-from desynclab.rounds import desync_map
+from desynclab.rounds import desync_map, sync_map
 from desynclab.trials import (
+    batch_multichannel_objective,
     initial_multichannel_batch,
     initial_phase_batch,
     run_fast_desync_batch,
@@ -118,6 +119,32 @@ def test_gap_residual_equals_roll_form(shape):
     assert np.array_equal(gap_residual(phi), rolled)
 
 
+@pytest.mark.parametrize("shape", [(7, 16), (5, 3), (6,), (4, 2)])
+def test_buffered_sync_map_equals_roll_form(shape):
+    first = REAL_DEFAULT_RNG(5).random(shape) * 5.0
+    gamma = 0.6
+    rolled = (1.0 - gamma) * first + gamma * np.roll(first, -1, axis=-1)
+    out, work = np.full(shape, np.nan), np.full(shape, np.nan)
+    buffered = sync_map(first, gamma, out=out, work=work)
+    assert buffered is out
+    assert np.array_equal(sync_map(first, gamma), rolled)
+    assert np.array_equal(buffered, rolled)
+    # the batch loop writes the consensus row into a strided view
+    nxt = np.full((*shape, 3), np.nan)
+    sync_map(first, gamma, out=nxt[..., 0], work=work)
+    assert np.array_equal(nxt[..., 0], rolled)
+
+
+@pytest.mark.parametrize("shape", [(7, 3, 4), (5, 16, 4), (4, 2, 2)])
+def test_multichannel_objective_equals_roll_form(shape):
+    phi = REAL_DEFAULT_RNG(6).random(shape) * 5.0
+    r = gap_residual(phi)
+    first = phi[:, :, 0]
+    d = np.roll(first, -1, axis=1) - first
+    rolled = 0.5 * (r * r).sum(axis=(1, 2)) + 0.5 * np.sum(d * d, axis=1)
+    assert np.array_equal(batch_multichannel_objective(phi), rolled)
+
+
 def test_batch_leaves_start_unmodified():
     phi0 = initial_phase_batch(16, 24, 11)
     keep = phi0.copy()
@@ -141,11 +168,12 @@ def test_diverging_batches_emit_no_warnings():
     assert single.aborted.any() and multi.aborted.all()
 
 
-# Every trial's abort round comes from the round engine: at n = 16 they are
-# 805-808, at C = 2, n = 4 they are 1588-1592, so these caps split them.
+# Every trial's abort round comes from the round engine's growth rule: at
+# n = 16 they are 32-33 (onset 3), at C = 2, n = 4 they are 60-63 (onset 6),
+# so these caps split them.
 MIXED = {
-    "single": (single_channel, (16, 0.8, 1e-3, 807)),
-    "multi": (multichannel, (2, 4, 0.85, 1e-3, 1589)),
+    "single": (single_channel, (16, 0.8, 1e-3, 32)),
+    "multi": (multichannel, (2, 4, 0.85, 1e-3, 61)),
 }
 
 
