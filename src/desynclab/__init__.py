@@ -50,7 +50,6 @@ from .rounds import (
     sync_desync_round,
 )
 from .eventsim import (
-    FireEvent,
     NodeState,
     SimConfig,
     Simulation,

@@ -116,6 +116,7 @@ def _cmd_simulate(args) -> int:
                 "occupancy": result.occupancy,
                 "available_tx_time_s": result.available_tx_time,
                 "order_change_rounds": result.order_change_rounds,
+                "steady_round": result.steady_round,
             },
             fh,
             indent=2,

@@ -44,6 +44,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,8 +54,8 @@ from .objectives import gap_residual
 from .rounds import ConvergenceReport, momentum_coefficient
 
 
-def _circdiff(x: float) -> float:
-    """Reduce a circle difference into [-0.5, 0.5)."""
+def _circdiff(x):
+    """Reduce circle differences (a float or an array) into [-0.5, 0.5)."""
     return (x + 0.5) % 1.0 - 0.5
 
 
@@ -207,12 +208,11 @@ class Simulation:
         self.nodes = [NodeState(i, int(channels[i]), float(phases[i])) for i in range(n)]
         self.time = 0.0
         self.next_fire = np.array([T * (1.0 - nd.phi) for nd in self.nodes])
-        self._fire_times: list[list[float]] = [[] for _ in range(n)]
+        # round k -> {node_id: time of its k-th fire}, for rounds not yet
+        # recorded; round k is complete once its entry holds all n nodes
+        self._rounds: defaultdict[int, dict[int, float]] = defaultdict(dict)
         self._prev_round_order: list[list[int]] | None = None
         self.completed_rounds = 0
-        # _fired_at_least[k]: how many nodes have fired at least k times;
-        # round k is complete once that count reaches n
-        self._fired_at_least = [n]
         self.trace: list[TraceRecord] = []
         self.order_change_rounds = 0
 
@@ -349,10 +349,7 @@ class Simulation:
                 break
         self.time = t
         firer.fire_count += 1
-        if firer.fire_count == len(self._fired_at_least):
-            self._fired_at_least.append(0)
-        self._fired_at_least[firer.fire_count] += 1
-        self._fire_times[nid].append(t)
+        self._rounds[firer.fire_count][nid] = t
         firer.succ_offset = firer.last_heard_offset
         firer.awaiting_update = False if firer.role == "sync" else True
         self._schedule(firer, t + self.config.period)
@@ -385,10 +382,6 @@ class Simulation:
             if watcher is not None and watcher != event.node_id:
                 if self.message_delivered(watcher, event.node_id):
                     self._on_fire_sync(self.nodes[watcher], event, announced)
-
-    def _reschedule(self, node: NodeState, t: float):
-        theta = node.theta(t, self.config.period)
-        self._schedule(node, t + self.config.period * (1.0 - theta))
 
     def _pending_phase(self, node: NodeState, t: float) -> float:
         """Listener phase at time t derived from its pending fire.
@@ -438,12 +431,22 @@ class Simulation:
         self._schedule(listener, event.time + self.config.period * (1.0 - theta_new))
 
     def _ledger_value(self, nid: int, index: int) -> float:
-        node = self.nodes[nid]
-        if node.update_count == index:
-            return self._led_curr[nid]
-        if node.update_count == index + 1:
+        """A node's ledger value at update index `index`: the previous one
+        while the node is already one update past it."""
+        if self.nodes[nid].update_count == index + 1:
             return self._led_prev[nid]
         return self._led_curr[nid]
+
+    def _ledger_commit(self, node: NodeState, value: float, t: float):
+        """Record a ledger update's new value and reschedule from it."""
+        i = node.node_id
+        self._led_prev[i] = self._led_curr[i]
+        self._led_curr[i] = value
+        node.update_count += 1
+        node.phi = value
+        node.pos_phi = value
+        T = self.config.period
+        self._schedule(node, t + T * (1.0 - node.theta(t, T)))
 
     def _ledger_desync_update(self, listener: NodeState, event: FireEvent):
         """Analytical-model update: neighbours' values are read at the
@@ -453,22 +456,15 @@ class Simulation:
         pred, succ = self._ring_pred[i], self._ring_succ[i]
         if pred < 0:
             return
-        k = listener.update_count + 1
-        pred_val = self._ledger_value(pred, k - 1)
-        succ_val = self._ledger_value(succ, k - 1)
-        own_val = self._led_curr[i]
+        pred_val = self._ledger_value(pred, listener.update_count)
+        succ_val = self._ledger_value(succ, listener.update_count)
         alpha = self.config.alpha
-        p_own = (own_val - pred_val) % 1.0
+        p_own = (self._led_curr[i] - pred_val) % 1.0
         p_succ = (succ_val - pred_val) % 1.0
         if p_succ <= p_own:
             p_succ += 1.0
         new_val = (pred_val + (1.0 - alpha) * p_own + (alpha / 2.0) * p_succ) % 1.0
-        self._led_prev[i] = own_val
-        self._led_curr[i] = new_val
-        listener.update_count = k
-        listener.phi = new_val
-        listener.pos_phi = new_val
-        self._reschedule(listener, event.time)
+        self._ledger_commit(listener, new_val, event.time)
 
     def _sync_pull(self, theta: float) -> float:
         """Consensus pull toward the firing instant, the short way around:
@@ -486,17 +482,9 @@ class Simulation:
     def _on_fire_sync(self, listener: NodeState, event: FireEvent, announced: float):
         t = event.time
         if self.config.staleness_mode == "assumption1":
-            i = listener.node_id
-            k = listener.update_count + 1
-            next_val = self._ledger_value(event.node_id, k - 1)
-            own_val = self._led_curr[i]
-            theta_new = self._sync_pull((own_val - next_val) % 1.0)
-            new_val = (next_val + theta_new) % 1.0
-            self._led_prev[i] = own_val
-            self._led_curr[i] = new_val
-            listener.update_count = k
-            listener.phi = new_val
-            self._reschedule(listener, t)
+            next_val = self._ledger_value(event.node_id, listener.update_count)
+            theta_new = self._sync_pull((self._led_curr[listener.node_id] - next_val) % 1.0)
+            self._ledger_commit(listener, (next_val + theta_new) % 1.0, t)
             return
         theta_new = self._sync_pull(self._pending_phase(listener, t))
         listener.update_count += 1
@@ -504,17 +492,6 @@ class Simulation:
         self._schedule(listener, t + self.config.period * (1.0 - theta_new))
 
     # ---------------- rounds, objective, trace ----------------
-
-    def _current_offsets(self, round_index: int | None = None) -> np.ndarray:
-        """Offsets recovered from each node's fire in the given round, or the
-        live offsets when round_index is None (round 0)."""
-        T = self.config.period
-        if round_index is None:
-            return np.array([nd.phi for nd in self.nodes])
-        return np.array(
-            [(1.0 - self._fire_times[i][round_index - 1] / T) % 1.0
-             for i in range(self.config.n)]
-        )
 
     def _channel_vector(self, offsets: np.ndarray, channel: int) -> np.ndarray:
         """Channel offsets in ascending cyclic order starting at the Sync node
@@ -528,44 +505,43 @@ class Simulation:
         rel[np.array(members) == self.sync_of[channel]] = 0.0
         return anchor + np.sort(rel)
 
-    def objective_of(self, offsets: np.ndarray) -> float:
-        """Gap objective on recovered offsets: per-channel equispacing terms
-        plus (for several channels) the circular Sync-alignment penalty."""
+    def _channel_vectors(self, offsets: np.ndarray) -> list[np.ndarray]:
+        """The channel vector of every non-empty channel, in channel order."""
+        return [
+            self._channel_vector(offsets, c)
+            for c in range(self.config.channels)
+            if self.channel_members[c]
+        ]
+
+    def _objective(self, offsets: np.ndarray, vectors: list[np.ndarray]) -> float:
+        """Per-channel equispacing terms of the channel vectors, in channel
+        order, plus the circular Sync-alignment penalty (several channels;
+        the Sync nodes are elected only then)."""
         total = 0.0
-        firsts = []
-        for c in range(self.config.channels):
-            if not self.channel_members[c]:
-                continue
-            vec = self._channel_vector(offsets, c)
+        for vec in vectors:
             r = gap_residual(vec)
             total += 0.5 * float(r @ r)
-            if self.config.channels > 1 and self.sync_of[c] is not None:
-                firsts.append(offsets[self.sync_of[c]])
+        firsts = [offsets[s] for s in self.sync_of if s is not None]
         if len(firsts) > 1:
             f = np.array(firsts)
-            diffs = np.array([_circdiff(x) for x in (np.roll(f, -1) - f)])
+            diffs = _circdiff(np.roll(f, -1) - f)
             total += 0.5 * float(diffs @ diffs)
         return total
 
-    def _round_firing_order(self, r: int) -> list[list[int]]:
-        """Node ids per channel sorted by their round-r fire times."""
-        return [
-            sorted(members, key=lambda i: (self._fire_times[i][r - 1], i))
-            for members in self.channel_members
-        ]
+    def objective_of(self, offsets: np.ndarray) -> float:
+        """Gap objective on recovered offsets: per-channel equispacing terms
+        plus (for several channels) the circular Sync-alignment penalty."""
+        return self._objective(offsets, self._channel_vectors(offsets))
 
     def _record(self, r: int, offsets: np.ndarray, order_changed: bool = False) -> TraceRecord:
         """Append round r's trace record, taken at the current time."""
-        obj = self.objective_of(offsets)
+        per_channel = self._channel_vectors(offsets)
+        obj = self._objective(offsets, per_channel)
         rec = TraceRecord(
             round_index=r,
             sim_time=self.time,
             offsets_by_node=offsets,
-            per_channel=[
-                self._channel_vector(offsets, c)
-                for c in range(self.config.channels)
-                if self.channel_members[c]
-            ],
+            per_channel=per_channel,
             objective=obj,
             occupancy=self.occupancy(),
             converged=obj <= self.config.epsilon,
@@ -575,23 +551,29 @@ class Simulation:
         return rec
 
     def _finish_round(self) -> TraceRecord:
+        """Record the next round from its fire times and free its buffer entry:
+        offsets recovered from the fires, and the per-channel firing order
+        (time, then node id) compared with the previous round's."""
         self.completed_rounds += 1
         r = self.completed_rounds
-        order = self._round_firing_order(r)
+        fired = self._rounds.pop(r)
+        order = [sorted(members, key=lambda i: (fired[i], i))
+                 for members in self.channel_members]
         order_changed = (
             self._prev_round_order is not None and order != self._prev_round_order
         )
         if order_changed:
             self.order_change_rounds += 1
         self._prev_round_order = order
-        return self._record(r, self._current_offsets(r), order_changed)
+        times = np.array([fired[i] for i in range(self.config.n)])
+        return self._record(r, (1.0 - times / self.config.period) % 1.0, order_changed)
 
     def run(self) -> SimulationResult:
         cfg = self.config
         max_rounds = cfg.max_rounds
         if max_rounds is None:
             max_rounds = max(1000, 200 * cfg.n)
-        rec0 = self._record(0, self._current_offsets(None))
+        rec0 = self._record(0, np.array([nd.phi for nd in self.nodes]))
         obj0 = rec0.objective
         converged = rec0.converged
         rounds = 0
@@ -603,8 +585,7 @@ class Simulation:
             if cfg.max_time is not None and self.time >= cfg.max_time:
                 break
             self.step()
-            r = self.completed_rounds + 1
-            if r < len(self._fired_at_least) and self._fired_at_least[r] == cfg.n:
+            if len(self._rounds[self.completed_rounds + 1]) == cfg.n:
                 rec = self._finish_round()
                 final = rec.objective
                 if not np.isfinite(final):
@@ -613,11 +594,7 @@ class Simulation:
                     converged = True
                     rounds = rec.round_index
                 if prev_offsets is not None:
-                    drift = np.max(
-                        np.abs(
-                            (rec.offsets_by_node - prev_offsets + 0.5) % 1.0 - 0.5
-                        )
-                    )
+                    drift = np.max(np.abs(_circdiff(rec.offsets_by_node - prev_offsets)))
                     steady_run = steady_run + 1 if drift < cfg.steady_tol else 0
                     if steady_run >= cfg.steady_rounds_needed:
                         steady_round = rec.round_index
@@ -661,7 +638,7 @@ class Simulation:
         C = cfg.channels
         if C < 2:
             raise SwapError("channel swap needs at least two channels")
-        current = self.objective_of(self._current_offsets(None))
+        current = self.objective_of(np.array([nd.phi for nd in self.nodes]))
         if current > cfg.epsilon:
             raise SwapError(
                 f"network not converged (objective {current:.3e} > {cfg.epsilon:.3e})"

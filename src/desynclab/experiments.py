@@ -12,7 +12,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import yaml
@@ -448,57 +448,39 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_sweep_csv(result: SweepResult, path):
+def _write_csv(path, header: str, rows):
+    """The header line, then one comma-joined line of fields per row."""
     with open(path, "w") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for r in result.rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.mode, r.n, r.channels, r.alpha, r.gamma, r.epsilon,
-                        r.trials, r.mean_rounds, r.max_rounds, r.std_rounds,
-                        r.bound_desync, r.bound_fast, r.speedup_pct,
-                    )
-                )
-                + "\n"
-            )
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def write_sweep_csv(result: SweepResult, path):
+    _write_csv(path, SWEEP_CSV_HEADER, (
+        (r.mode, r.n, r.channels, r.alpha, r.gamma, r.epsilon, r.trials,
+         r.mean_rounds, r.max_rounds, r.std_rounds, r.bound_desync,
+         r.bound_fast, r.speedup_pct)
+        for r in result.rows
+    ))
 
 
 def write_bounds_csv(rows, path):
-    with open(path, "w") as fh:
-        fh.write(BOUNDS_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.n, r.alpha, r.epsilon, r.trials, r.max_rounds_desync,
-                        r.bound_desync, r.max_rounds_fast, r.bound_fast,
-                        int(r.violated),
-                    )
-                )
-                + "\n"
-            )
+    _write_csv(path, BOUNDS_CSV_HEADER, (
+        (r.n, r.alpha, r.epsilon, r.trials, r.max_rounds_desync, r.bound_desync,
+         r.max_rounds_fast, r.bound_fast, int(r.violated))
+        for r in rows
+    ))
 
 
 def write_spectra_csv(rows, path):
-    with open(path, "w") as fh:
-        fh.write(SPECTRA_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.n, r.channels, r.beta, r.gamma,
-                        # No numeric spectrum is computed, so the mismatch
-                        # column reads nan ("does not apply").
-                        r.spectral_radius_deflated, float("nan"),
-                        r.eigenvalue_one_multiplicity, int(r.passed),
-                    )
-                )
-                + "\n"
-            )
+    _write_csv(path, SPECTRA_CSV_HEADER, (
+        # No numeric spectrum is computed, so the mismatch column reads nan
+        # ("does not apply").
+        (r.n, r.channels, r.beta, r.gamma, r.spectral_radius_deflated,
+         float("nan"), r.eigenvalue_one_multiplicity, int(r.passed))
+        for r in rows
+    ))
 
 
 def emit_plotdata(result: SweepResult, out_dir):
@@ -535,22 +517,12 @@ def emit_plotdata(result: SweepResult, out_dir):
 def load_summary(path) -> SweepResult:
     with open(path) as fh:
         doc = json.load(fh)
-    sd = doc["spec"]
-    spec = ExperimentSpec(
-        mode=sd["mode"],
-        n=sd.get("n"),
-        channels=sd.get("channels"),
-        nodes_per_channel=sd.get("nodes_per_channel"),
-        alphas=tuple(sd["alphas"]),
-        gammas=tuple(sd["gammas"]),
-        epsilons=tuple(sd["epsilons"]),
-        trials=sd["trials"],
-        seed_base=sd["seed_base"],
-        out_dir=sd["out_dir"],
-        max_rounds=sd.get("max_rounds"),
-        loss_probability=sd.get("loss_probability", 0.0),
-        staleness_mode=sd.get("staleness_mode", "live"),
-        workers=sd.get("workers", 1),
-    )
+    # keys missing from older summaries take the dataclass defaults;
+    # unknown keys are ignored
+    names = {f.name for f in fields(ExperimentSpec)}
+    spec = ExperimentSpec(**{
+        k: tuple(v) if isinstance(v, list) else v
+        for k, v in doc["spec"].items() if k in names
+    })
     rows = [SweepRow(**r) for r in doc["rows"]]
     return SweepResult(spec=spec, rows=rows)

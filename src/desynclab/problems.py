@@ -135,10 +135,6 @@ class MultichannelProblem:
     def alpha(self) -> float:
         return beta_to_alpha(self.beta)
 
-    @property
-    def is_uniform(self) -> bool:
-        return len(set(self.channel_counts)) == 1
-
     def offsets(self) -> np.ndarray:
         """Start index of each channel's block in the stacked vector."""
         return np.concatenate(([0], np.cumsum(self.channel_counts)[:-1])).astype(int)

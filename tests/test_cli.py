@@ -93,6 +93,7 @@ def test_simulate_command(tmp_path):
     report = json.loads((out / "simulation.json").read_text())
     assert report["converged"] is True
     assert report["rounds"] >= 0
+    assert report["steady_round"] == report["rounds"]
 
 
 def test_plotdata_command(tmp_path):

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -340,15 +343,39 @@ def test_steady_state_gaps_and_sync_alignment():
     sim = Simulation(cfg)
     res = sim.run()
     assert res.report.converged
-    r = sim.completed_rounds
-    T = cfg.period
-    for members in sim.channel_members:
-        times = np.sort([sim._fire_times[i][r - 1] for i in members])
-        gaps = np.diff(times)
-        assert np.allclose(gaps, T / len(members), atol=T * 1e-4)
-    sync_times = [sim._fire_times[sim.sync_of[c]][r - 1] for c in range(2)]
-    assert abs(sync_times[0] - sync_times[1]) % T <= T * 1e-4 or \
-        T - abs(sync_times[0] - sync_times[1]) % T <= T * 1e-4
+    rec = res.trace[-1]
+    for vec in rec.per_channel:
+        gaps = np.diff(np.append(vec, vec[0] + 1.0))
+        assert np.allclose(gaps, 1.0 / len(vec), atol=1e-4)
+    sync = rec.offsets_by_node[[sim.sync_of[c] for c in range(2)]]
+    assert abs(circdiff(sync[0] - sync[1])) <= 1e-4
+
+
+def _memory_kept_without_trace(rounds, n):
+    """Bytes a finished simulation of exactly `rounds` rounds still holds
+    once its trace is dropped."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim = Simulation(SimConfig(n=n, channels=4, epsilon=1e-300, steady_tol=0.0,
+                                   rng_seed=2, max_rounds=rounds))
+        sim.run()
+        assert sim.completed_rounds == rounds
+        sim.trace.clear()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_kept_per_round_excludes_fire_history():
+    # recorded rounds' fire times are freed: beyond the trace, the memory a
+    # run keeps does not grow with its rounds. One Python float per node per
+    # round (a fire history) would add about 32 bytes per node per round.
+    n = 32
+    _memory_kept_without_trace(2, n)  # first-use allocations would count against `short`
+    short, long = _memory_kept_without_trace(20, n), _memory_kept_without_trace(120, n)
+    assert (long - short) / 100 < 8 * n
 
 
 def test_trace_objective_consistent_with_core_math():

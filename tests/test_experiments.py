@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -231,6 +232,21 @@ def test_emit_plotdata_and_summary_round_trip(tmp_path):
                 assert math.isnan(vb)
             else:
                 assert va == vb
+
+
+def test_load_summary_defaults_missing_keys_and_ignores_unknown(tmp_path):
+    result = run_sweep(small_spec(trials=3))
+    emit_plotdata(result, tmp_path)
+    path = os.path.join(tmp_path, "summary.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    # an older summary: written before these spec fields existed
+    for key in ("loss_probability", "staleness_mode", "workers", "max_rounds"):
+        del doc["spec"][key]
+    doc["spec"]["retired_field"] = 1
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert load_summary(path).spec == result.spec
 
 
 def test_empty_sweep_emits_headers_only(tmp_path):

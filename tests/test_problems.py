@@ -95,6 +95,5 @@ def test_problem_accessors():
     mp = MultichannelProblem((2, 3, 4), 0.2, 0.6)
     assert mp.num_channels == 3
     assert mp.total_nodes == 9
-    assert not mp.is_uniform
     assert np.array_equal(mp.offsets(), np.array([0, 2, 5]))
     assert mp.alpha == pytest.approx(0.4)
