@@ -497,12 +497,13 @@ class Simulation:
         """Channel offsets in ascending cyclic order starting at the Sync node
         (multichannel) unwrapped past the fold, or plain ascending order."""
         members = self.channel_members[channel]
-        vals = offsets[np.array(members, dtype=int)]
-        if self.config.channels == 1 or self.sync_of[channel] is None:
+        vals = offsets[members]
+        sync = self.sync_of[channel]
+        if self.config.channels == 1 or sync is None:
             return np.sort(vals)
-        anchor = offsets[self.sync_of[channel]]
+        anchor = offsets[sync]
         rel = (vals - anchor) % 1.0
-        rel[np.array(members) == self.sync_of[channel]] = 0.0
+        rel[members.index(sync)] = 0.0
         return anchor + np.sort(rel)
 
     def _channel_vectors(self, offsets: np.ndarray) -> list[np.ndarray]:

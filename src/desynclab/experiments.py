@@ -167,6 +167,11 @@ def parse_spec(text: str) -> ExperimentSpec:
     trials = int(raw.get("trials", DEFAULT_TRIALS))
     if trials < 1:
         raise SpecError(f"trials must be >= 1, got {trials}")
+    seed_base = int(raw.get("seed_base", 0))
+    if seed_base < 0 or seed_base + trials > 2**64:
+        raise SpecError(
+            f"seed_base must be >= 0 with seed_base + trials <= 2**64, got {seed_base}"
+        )
     workers = int(raw.get("workers", 1))
     if workers < 1:
         raise SpecError(f"workers must be >= 1, got {workers}")
@@ -191,7 +196,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         gammas=gammas,
         epsilons=epsilons,
         trials=trials,
-        seed_base=int(raw.get("seed_base", 0)),
+        seed_base=seed_base,
         out_dir=str(raw.get("out", "results")),
         max_rounds=max_rounds,
         loss_probability=loss,

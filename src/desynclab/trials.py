@@ -4,11 +4,14 @@ Trials are stacked along a leading batch axis; every per-trial arithmetic
 operation is elementwise, so results are identical to running the round
 engine one trial at a time (tests pin that equality). Seeding is per trial
 (seed_base + trial index), which makes results invariant to batch size and
-worker count.
+worker count. A start batch is drawn in one vectorized pass whose row t is
+np.random.default_rng(seed_base + t).random(...) bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +34,148 @@ def sample_initial_phases(rng: np.random.Generator, n: int) -> np.ndarray:
     return phi
 
 
+# numpy's SeedSequence hash (pool of four 32-bit words) and PCG64 (XSL-RR
+# output of a 128-bit LCG), whose streams numpy keeps stable across
+# versions. uint64 array arithmetic wraps silently; constants stay Python
+# ints or arrays, because numpy warns on overflow in scalar-by-scalar products.
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_BLOCK = 64  # draws per column block of _uniform_rows
+
+
+def _powers(init: int, mult: int, count: int) -> list[int]:
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+# The hash constants advance once per hashmix call, whatever the data: 16
+# calls while mixing the pool (INIT_A, MULT_A), 8 while generating state
+# words (INIT_B, MULT_B).
+_HASH_A = _powers(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(value, consts: list[int], k: int):
+    value = value ^ consts[k]
+    value *= consts[k + 1]
+    value &= _MASK32
+    value ^= value >> 16
+    return value
+
+
+def _seed_words(seeds: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence(seed).generate_state(4, np.uint64) for a uint64 array of
+    seeds, as four word arrays. The entropy words are the seed's low and high
+    32 bits; a zero high word hashes exactly like the zero padding of the
+    pool, so one path covers every seed below 2**64."""
+    entropy = (seeds & _MASK32, seeds >> 32, 0, 0)
+    pool = [_hashmix(w, _HASH_A, k) for k, w in enumerate(entropy)]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                y = _hashmix(pool[src], _HASH_A, k)
+                k += 1
+                x = pool[dst] * _MIX_L
+                y *= _MIX_R
+                x -= y
+                x &= _MASK32
+                x ^= x >> 16
+                pool[dst] = x
+    words = [_hashmix(pool[i % 4], _HASH_B, i) for i in range(8)]
+    return [words[2 * i] | (words[2 * i + 1] << 32) for i in range(4)]
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_constants(count: int) -> np.ndarray:
+    """(4, count) uint64 rows A_hi, A_lo, B_hi, B_lo of A = MULT^(j+1) and
+    B = sum_{i<=j} MULT^i mod 2**128, j = 1..count. PCG64 seeded with state
+    word s and increment inc starts from (inc + s) MULT + inc, so its state
+    after draw j is A (s + inc) + B inc."""
+    out = np.empty((4, count), dtype=np.uint64)
+    a, b = _PCG_MULT, 1
+    for j in range(count):
+        a = a * _PCG_MULT & (2**128 - 1)
+        b = (b * _PCG_MULT + 1) & (2**128 - 1)
+        out[:, j] = (a >> 64, a & (2**64 - 1), b >> 64, b & (2**64 - 1))
+    out.flags.writeable = False
+    return out
+
+
+def _wide_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit products x * y (uint64
+    arrays, broadcast), from 32-bit limbs."""
+    x0, x1 = x & _MASK32, x >> 32
+    y0, y1 = y & _MASK32, y >> 32
+    hi = x1 * y1
+    m1 = x0 * y1
+    hi += m1 >> 32
+    m1 &= _MASK32
+    m2 = x1 * y0
+    hi += m2 >> 32
+    m2 &= _MASK32
+    m1 += m2
+    lo = x0 * y0
+    m1 += lo >> 32
+    lo &= _MASK32
+    hi += m1 >> 32
+    m1 <<= 32
+    lo |= m1
+    return hi, lo
+
+
+def _uniform_rows(seed_base: int, trials: int, count: int) -> np.ndarray:
+    """(trials, count) float64 array whose row t equals
+    np.random.default_rng(seed_base + t).random(count) bit for bit, computed
+    for all trials at once: the seeds are hashed as SeedSequence does, and
+    every PCG64 state is jumped to in closed form, in column blocks of
+    _BLOCK draws."""
+    if seed_base < 0 or seed_base + trials > 2**64:
+        raise ValueError(
+            f"seed_base must be >= 0 with seed_base + trials <= 2**64, got {seed_base}"
+        )
+    seeds = np.arange(trials, dtype=np.uint64)
+    seeds += np.array(seed_base, dtype=np.uint64)
+    w0, w1, w2, w3 = _seed_words(seeds)
+    # 128-bit words are high:low; inc = (w2:w3 << 1) | 1, u = w0:w1 + inc.
+    inc_hi = ((w2 << 1) | (w3 >> 63))[:, None]
+    inc_lo = ((w3 << 1) | 1)[:, None]
+    u_lo = w1[:, None] + inc_lo
+    u_hi = w0[:, None] + inc_hi + (u_lo < inc_lo)
+    jump = _jump_constants(count)
+    out = np.empty((trials, count))
+    for c in range(0, count, _BLOCK):
+        a_hi, a_lo, b_hi, b_lo = (row[None, c:c + _BLOCK] for row in jump)
+        hi, lo = _wide_product(u_lo, a_lo)
+        h2, l2 = _wide_product(inc_lo, b_lo)
+        lo += l2
+        hi += h2
+        hi += lo < l2
+        hi += u_hi * a_lo
+        hi += u_lo * a_hi
+        hi += inc_hi * b_lo
+        hi += inc_lo * b_hi
+        # XSL-RR: (hi ^ lo) rotated right by the top six bits of the state
+        rot = hi >> 58
+        hi ^= lo
+        lo = hi >> rot
+        rot = (64 - rot) & 63
+        hi <<= rot
+        hi |= lo
+        hi >>= 11
+        np.multiply(hi, 2.0**-53, out=out[:, c:c + _BLOCK])
+    return out
+
+
 def _sorted_starts(trials: int, shape: tuple, seed_base: int, resample) -> np.ndarray:
-    """(trials, *shape) batch of uniform [0,1) draws from one generator per
-    trial (seed_base + t), sorted along the last axis in one call. A trial
-    with an exact tie is redrawn by `resample(rng)` from a fresh generator
-    on its seed, so every row equals the per-trial sampler's."""
-    out = np.empty((trials, *shape))
-    for t in range(trials):
-        np.random.default_rng(seed_base + t).random(out=out[t])
+    """(trials, *shape) batch of uniform [0,1) draws, row t from seed
+    seed_base + t (`_uniform_rows`), sorted along the last axis in one call.
+    A trial with an exact tie is redrawn by `resample(rng)` from a fresh
+    generator on its seed, so every row equals the per-trial sampler's."""
+    out = _uniform_rows(seed_base, trials, math.prod(shape)).reshape(trials, *shape)
     out.sort(axis=-1)
     ties = (np.diff(out, axis=-1) == 0.0).reshape(trials, -1).any(axis=1)
     for t in np.flatnonzero(ties):

@@ -1,5 +1,6 @@
-"""Bitwise oracles for the batch kernel: the batched start samplers against
-the per-trial sampler, the buffered Desync and consensus maps and the
+"""Bitwise oracles for the batch kernel: the vectorized uniform draws against
+np.random.default_rng, the batched start samplers against the per-trial
+sampler, the buffered Desync and consensus maps and the
 slice-built objectives against their np.roll forms, and the compacting
 batch loop against the round engine on batches that mix converged, aborted
 and capped trials.
@@ -9,12 +10,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desynclab import experiments as ex
+from desynclab import trials as trials_module
 from desynclab.objectives import gap_residual
 from desynclab.problems import wrap_bias
 from desynclab.rounds import desync_map, sync_map
 from desynclab.trials import (
+    _seed_words,
+    _uniform_rows,
     batch_multichannel_objective,
     initial_multichannel_batch,
     initial_phase_batch,
@@ -26,6 +32,51 @@ from test_batch_outcomes import multichannel, single_channel
 from test_experiments import rows_equal, small_spec
 
 REAL_DEFAULT_RNG = np.random.default_rng
+
+
+def reference_rows(seed_base, trials, count):
+    return np.stack([REAL_DEFAULT_RNG(seed_base + t).random(count) for t in range(trials)])
+
+
+def strict_uniform_rows(seed_base, trials, count):
+    """_uniform_rows with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _uniform_rows(seed_base, trials, count)
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 7, 2**63, 2**64 - 1]
+)
+def test_seed_words_equal_seed_sequence(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = _seed_words(np.array([seed], dtype=np.uint64))
+    expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    assert np.array_equal(np.concatenate(words), expected)
+
+
+# Seed ranges starting at 0, crossing 2**32 and ending at 2**64 - 1; counts
+# on both sides of the column-block edges.
+@pytest.mark.parametrize("seed_base", [0, 2**32 - 200, 2**64 - 400])
+@pytest.mark.parametrize("count", [1, 2, 16, 63, 64, 65, 1024])
+@pytest.mark.parametrize("trials", [1, 400])
+def test_uniform_rows_equal_default_rng(seed_base, count, trials):
+    rows = strict_uniform_rows(seed_base, trials, count)
+    assert rows.shape == (trials, count)
+    assert np.array_equal(rows, reference_rows(seed_base, trials, count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    trials=st.integers(min_value=1, max_value=5),
+    count=st.integers(min_value=1, max_value=200),
+)
+def test_uniform_rows_equal_default_rng_property(seed, trials, count):
+    seed_base = min(seed, 2**64 - trials)
+    rows = strict_uniform_rows(seed_base, trials, count)
+    assert np.array_equal(rows, reference_rows(seed_base, trials, count))
 
 
 @pytest.mark.parametrize("n, trials, seed_base", [(16, 40, 7000), (5, 13, 0), (2, 9, 123456)])
@@ -66,7 +117,17 @@ TIE_SEED = 3
 
 @pytest.fixture
 def tie_at_seed(monkeypatch):
-    """np.random.default_rng hands out a TieGenerator for TIE_SEED."""
+    """Row TIE_SEED of the batch's uniform draw repeats its first value, as
+    a TieGenerator's first draw does, and np.random.default_rng hands out a
+    TieGenerator for TIE_SEED, so the redraw sees the same tie."""
+    real_rows = trials_module._uniform_rows
+
+    def tied_rows(seed_base, trials, count):
+        rows = real_rows(seed_base, trials, count)
+        rows[TIE_SEED - seed_base, 1] = rows[TIE_SEED - seed_base, 0]
+        return rows
+
+    monkeypatch.setattr(trials_module, "_uniform_rows", tied_rows)
     monkeypatch.setattr(
         np.random, "default_rng",
         lambda seed: TieGenerator(seed) if seed == TIE_SEED else REAL_DEFAULT_RNG(seed),

@@ -45,6 +45,15 @@ def test_validation_error_exit_code(tmp_path):
     assert main(["sweep", "--config", missing]) == EXIT_VALIDATION
 
 
+def test_seed_base_out_of_range_exit_code(tmp_path, capsys):
+    cfg = write(tmp_path, "neg.yaml", "mode: desync\nn: 4\nalpha: [0.5]\nseed_base: -2\n")
+    assert main(["sweep", "--config", cfg]) == EXIT_VALIDATION
+    assert "seed_base" in capsys.readouterr().err
+    ok = write(tmp_path, "ok.yaml", "mode: desync\nn: 4\nalpha: [0.5]\ntrials: 2\n")
+    assert main(["sweep", "--config", ok, "--seed", str(2**64 - 1)]) == EXIT_VALIDATION
+    assert "seed_base" in capsys.readouterr().err
+
+
 def test_bounds_command(tmp_path):
     cfg = write(
         tmp_path, "bounds.yaml",

@@ -32,6 +32,7 @@ from desynclab.experiments import (
     SWEEP_CSV_HEADER,
 )
 from desynclab.trials import (
+    _uniform_rows,
     initial_multichannel_batch,
     initial_phase_batch,
     run_desync_batch,
@@ -70,6 +71,24 @@ def test_parse_rejects_bad_mode_and_missing_fields():
         parse_spec("mode: desync\n")
     with pytest.raises(SpecError):
         parse_spec("mode: much\nchannels: 4\n")
+
+
+@pytest.mark.parametrize("tail", ["seed_base: -2\n", "seed_base: 18446744073709551613\ntrials: 4\n"])
+def test_parse_rejects_seed_base_out_of_range(tail):
+    with pytest.raises(SpecError, match="seed_base"):
+        parse_spec(MINIMAL + tail)
+
+
+def test_parse_accepts_seeds_up_to_two_to_the_64():
+    spec = parse_spec(MINIMAL + "seed_base: 18446744073709551612\ntrials: 4\n")
+    assert spec.seed_base + spec.trials == 2**64
+
+
+def test_uniform_rows_rejects_seed_base_out_of_range():
+    for seed_base, trials in [(-1, 1), (2**64 - 3, 4), (2**64, 1)]:
+        with pytest.raises(ValueError, match="seed_base"):
+            _uniform_rows(seed_base, trials, 2)
+    assert _uniform_rows(2**64 - 4, 4, 2).shape == (4, 2)
 
 
 def test_spec_round_trip():
