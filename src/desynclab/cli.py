@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .eventsim import SimConfig, run_simulation, trace_to_csv
 from .experiments import (
@@ -31,18 +30,14 @@ from .experiments import (
 )
 
 def _load_spec(args):
+    overrides = {
+        key: value
+        for key, value in (("seed_base", args.seed), ("trials", args.trials),
+                           ("out", args.out), ("workers", args.workers))
+        if value is not None
+    }
     with open(args.config) as fh:
-        spec = parse_spec(fh.read())
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed_base"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    return replace(spec, **overrides) if overrides else spec
+        return parse_spec(fh.read(), overrides)
 
 
 def _cmd_sweep(args) -> int:

@@ -46,7 +46,7 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -133,9 +133,9 @@ class NodeState:
         self.pos_phi = phi             # position sequence offset (accelerated mode)
         self.update_count = 0
         self.fire_count = 0
-        self.awaiting_update = False   # fired, not yet updated since that fire
+        # last announcement heard; authoritative only while the node is in its
+        # channel's missed set (Simulation._heard reads it)
         self.last_heard_offset: Optional[float] = None
-        self.succ_offset: Optional[float] = None  # announcement heard just before own fire
         self.miss_counter = 0
         self.full_listening = False
 
@@ -149,8 +149,7 @@ class NodeState:
         )
 
 
-@dataclass(frozen=True)
-class FireEvent:
+class FireEvent(NamedTuple):
     time: float
     node_id: int
     channel: int
@@ -215,6 +214,13 @@ class Simulation:
         self.completed_rounds = 0
         self.trace: list[TraceRecord] = []
         self.order_change_rounds = 0
+        # per-channel delivery state: the latest announcement, the members
+        # that did not receive it (the firer, the Sync node, hidden or lost
+        # listeners; every other member heard it), and the Desync members
+        # that fired and have not updated since
+        self._latest: list[Optional[float]] = [None] * C
+        self._missed: list[set[int]] = [set() for _ in range(C)]
+        self._awaiting: list[set[int]] = [set() for _ in range(C)]
 
         self._rebuild_channels()
         if C > 1:
@@ -350,10 +356,15 @@ class Simulation:
         self.time = t
         firer.fire_count += 1
         self._rounds[firer.fire_count][nid] = t
-        firer.succ_offset = firer.last_heard_offset
-        firer.awaiting_update = False if firer.role == "sync" else True
         self._schedule(firer, t + self.config.period)
-        return FireEvent(time=t, node_id=nid, channel=firer.channel)
+        return FireEvent(t, nid, ch)
+
+    def _heard(self, node: NodeState) -> Optional[float]:
+        """The last announcement the node heard in its channel."""
+        c = node.channel
+        if node.node_id in self._missed[c]:
+            return node.last_heard_offset
+        return self._latest[c]
 
     def step(self) -> FireEvent:
         event = self.advance_to_next_fire()
@@ -361,27 +372,43 @@ class Simulation:
         return event
 
     def _deliver(self, event: FireEvent):
+        """Announce a fire to its channel. Only the members that miss it are
+        touched one by one: they keep the previous announcement, everyone
+        else reads the channel's latest."""
         cfg = self.config
-        firer_id = event.node_id
-        firer = self.nodes[firer_id]
-        announced = (1.0 - event.time / cfg.period) % 1.0
-        nodes, delivered = self.nodes, self.message_delivered
-        for nid in self.channel_members[event.channel]:
-            listener = nodes[nid]
-            # Sync nodes take no in-channel coupling
-            if nid == firer_id or listener.role == "sync" or not delivered(nid, firer_id):
-                continue
-            if listener.awaiting_update:
-                self._on_fire_desync(listener, event, announced)
-            listener.last_heard_offset = announced
-        if cfg.channels > 1 and firer.role == "sync" and event.channel != 0:
+        t, firer_id, c = event
+        announced = (1.0 - t / cfg.period) % 1.0
+        nodes = self.nodes
+        sync = self.sync_of[c]
+        # Sync nodes take no in-channel coupling
+        missed = {firer_id} if sync is None else {firer_id, sync}
+        if cfg.adjacency is not None or cfg.loss_probability > 0.0:
+            delivered = self.message_delivered
+            for nid in self.channel_members[c]:
+                if nid not in missed and not delivered(nid, firer_id):
+                    missed.add(nid)
+        latest = self._latest[c]
+        for nid in missed - self._missed[c]:
+            nodes[nid].last_heard_offset = latest
+        awaiting = self._awaiting[c]
+        ready = awaiting - missed
+        if ready:
+            awaiting -= ready
+            # in ascending id, the member order; one node needs no sort
+            for nid in sorted(ready) if len(ready) > 1 else ready:
+                self._on_fire_desync(nodes[nid], event, announced)
+        self._latest[c] = announced
+        self._missed[c] = missed
+        if firer_id != sync:
+            awaiting.add(firer_id)
+        elif cfg.channels > 1 and c != 0:
             # chain topology: channel c-1 syncs to channel c; the wrap edge
             # (last channel listening to channel 0) is dropped, making the
             # last channel's Sync the free-running reference
-            watcher = self.sync_of[event.channel - 1]
-            if watcher is not None and watcher != event.node_id:
-                if self.message_delivered(watcher, event.node_id):
-                    self._on_fire_sync(self.nodes[watcher], event, announced)
+            watcher = self.sync_of[c - 1]
+            if watcher is not None and watcher != firer_id:
+                if self.message_delivered(watcher, firer_id):
+                    self._on_fire_sync(nodes[watcher], event, announced)
 
     def _pending_phase(self, node: NodeState, t: float) -> float:
         """Listener phase at time t derived from its pending fire.
@@ -396,19 +423,21 @@ class Simulation:
     def _on_fire_desync(self, listener: NodeState, event: FireEvent, announced: float):
         """Midpoint update at the predecessor's fire, for a listener awaiting
         its update since its own fire; skipped while caches are cold (live
-        mode)."""
-        listener.awaiting_update = False
+        mode). The listener has missed every fire since its own, so its
+        last_heard_offset still holds the announcement it heard just before
+        that fire: its successor's."""
         if self.config.staleness_mode == "assumption1":
             self._ledger_desync_update(listener, event)
             return
-        if listener.succ_offset is None:
+        succ = listener.last_heard_offset
+        if succ is None:
             return
         alpha = self.config.alpha
         p_own = self._pending_phase(listener, event.time)
         # successor position relative to the firer; the successor fired ahead
         # of the listener, so lift near-zero values (a full cycle ahead, the
         # two-node case) past p_own instead of letting rounding collapse them
-        p_succ = (listener.succ_offset - announced) % 1.0
+        p_succ = (succ - announced) % 1.0
         if p_succ <= p_own:
             p_succ += 1.0
         p_new = (1.0 - alpha) * p_own + (alpha / 2.0) * p_succ
@@ -668,6 +697,15 @@ class Simulation:
                 f"({pend:.3e}s to the next fire)"
             )
         ca, cb = a.channel, b.channel
+        # each partner carries what it heard and whether it awaits an update;
+        # in its new channel it counts as a misser, its own value authoritative
+        a.last_heard_offset, b.last_heard_offset = self._heard(a), self._heard(b)
+        for node, old, new in ((node_a, ca, cb), (node_b, cb, ca)):
+            self._missed[old].discard(node)
+            self._missed[new].add(node)
+            if node in self._awaiting[old]:
+                self._awaiting[old].remove(node)
+                self._awaiting[new].add(node)
         self.channel_members[ca].remove(node_a)
         self.channel_members[cb].remove(node_b)
         self.channel_members[ca].append(node_b)

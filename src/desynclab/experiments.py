@@ -106,9 +106,11 @@ def _as_grid(value, name: str) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
-def parse_spec(text: str) -> ExperimentSpec:
+def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     """Parse and validate a YAML experiment config; defaults are applied so
-    the returned spec is fully explicit. Unknown keys are rejected."""
+    the returned spec is fully explicit. Unknown keys are rejected.
+    `overrides` replace config keys before validation, so they pass the
+    same checks as the file's own values."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -117,6 +119,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         raw = {}
     if not isinstance(raw, dict):
         raise SpecError("config must be a mapping")
+    raw = {**raw, **(overrides or {})}
     unknown = set(raw) - _SPEC_KEYS
     if unknown:
         raise SpecError(f"unknown config key(s): {', '.join(sorted(unknown))}")

@@ -54,6 +54,21 @@ def test_seed_base_out_of_range_exit_code(tmp_path, capsys):
     assert "seed_base" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,value,key", [
+    ("sweep", "--trials", "0", "trials"),
+    ("sweep", "--workers", "0", "workers"),
+    ("simulate", "--seed", "-3", "seed_base"),
+])
+def test_overrides_pass_spec_checks(tmp_path, capsys, command, flag, value, key):
+    body = ("mode: desync\nn: 4\nalpha: [0.5]\nepsilon: [1.0e-3]\ntrials: 3\n"
+            if command == "sweep" else
+            "mode: event-sim\nn: 4\nchannels: 1\nalpha: [0.5]\nepsilon: [1.0e-3]\n")
+    cfg = write(tmp_path, "spec.yaml", body)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--out", out, flag, value]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {key} must be >= ")
+
+
 def test_bounds_command(tmp_path):
     cfg = write(
         tmp_path, "bounds.yaml",

@@ -1,8 +1,9 @@
-"""Pinned traces and a linear-scan oracle for the simulator's fire queue.
+"""Pinned traces, and oracles for the simulator's fire queue and delivery.
 
 The golden digests pin each trace bit for bit, so any change to the order or
-the arithmetic of fires fails them. The oracle re-derives every firer with a
-linear scan over (next_fire, channel, node_id).
+the arithmetic of fires fails them. The scan oracle re-derives every firer
+with a linear scan over (next_fire, channel, node_id); the push oracle
+replays per-listener delivery against the per-channel delivery state.
 """
 
 import hashlib
@@ -38,6 +39,9 @@ CONFIGS = {
                    adjacency=hidden_adjacency(16, 12)),
     "nesterov": dict(n=8, channels=1, alpha=0.2, epsilon=1e-3, rng_seed=6,
                      use_nesterov=True),
+    # the benchmark's shape: 8 members per channel
+    "wide": dict(n=128, channels=16, alpha=0.6, gamma=0.6, epsilon=1e-300,
+                 rng_seed=4, max_rounds=10),
 }
 
 GOLDEN = {
@@ -48,6 +52,7 @@ GOLDEN = {
     "live": ("3448842d887c1696226440b7b070b3392a7b464adaf70684d09e44f89b7657e8", 32, 0),
     "lossy": ("4098e8af6ec625f724523875182cb94ab4e60fe0853b4869a1c90f8d383c9405", None, 10),
     "nesterov": ("ef906b1ad65c1b1c80acbb542f2be0605399957749da49b2d26d5f93cf9966d9", 12, 0),
+    "wide": ("4c45db191d3b65c40d72216f46076a46754150b3c2352daba584a5ca1b0fd8af", None, 9),
 }
 
 SWAP_GOLDEN = "10b07ef47a046f7d3d0fcdfc0bafe5b74060a813b9e324fbaeb31493f1844888"
@@ -153,3 +158,70 @@ def test_queue_breaks_exact_cross_channel_tie_on_channel():
     assert (second.node_id, second.channel) == (0, 1)
     assert first.time == second.time
     assert sim.run().report.converged
+
+
+class PushOracle(Simulation):
+    """Replays push delivery next to the per-channel delivery state: a
+    shadow of every node's last heard announcement and of the nodes awaiting
+    an update, fed by the same delivered/missed decisions. After every step
+    the simulator's `_heard` and awaiting sets must equal the shadow."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.shadow_heard = [None] * config.n
+        self.shadow_awaiting = set()
+        self.decisions = {}
+
+    def message_delivered(self, listener_id, firer_id):
+        ok = super().message_delivered(listener_id, firer_id)
+        self.decisions[listener_id] = ok
+        return ok
+
+    def step(self):
+        self.decisions = {}
+        ev = super().step()
+        cfg, firer = self.config, self.nodes[ev.node_id]
+        if firer.role == "sync":
+            self.shadow_awaiting.discard(ev.node_id)
+        else:
+            self.shadow_awaiting.add(ev.node_id)
+        lossless = cfg.adjacency is None and cfg.loss_probability == 0.0
+        announced = (1.0 - ev.time / cfg.period) % 1.0
+        for nid in self.channel_members[ev.channel]:
+            if nid == ev.node_id or self.nodes[nid].role == "sync":
+                continue
+            if not (self.decisions.get(nid, True) if lossless else self.decisions[nid]):
+                continue
+            self.shadow_awaiting.discard(nid)
+            self.shadow_heard[nid] = announced
+        for nd in self.nodes:
+            assert self._heard(nd) == self.shadow_heard[nd.node_id]
+        for c, members in enumerate(self.channel_members):
+            assert self._missed[c] <= set(members)
+            assert self._awaiting[c] == {i for i in self.shadow_awaiting if i in members}
+        return ev
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_channel_delivery_matches_push(name):
+    res = PushOracle(SimConfig(**CONFIGS[name])).run()
+    assert trace_digest(res.trace) == GOLDEN[name][0]
+
+
+def test_channel_delivery_matches_push_after_swaps():
+    assert swap_run(PushOracle)[1] == SWAP_GOLDEN
+
+
+def test_lossless_fire_skips_per_listener_delivery():
+    # at 8 members per channel, only the Sync-watcher deliveries remain
+    calls = []
+
+    class Counting(Simulation):
+        def message_delivered(self, listener_id, firer_id):
+            calls.append(listener_id)
+            return super().message_delivered(listener_id, firer_id)
+
+    sim = Counting(SimConfig(**CONFIGS["wide"]))
+    assert trace_digest(sim.run().trace) == GOLDEN["wide"][0]
+    sync_fires = sum(sim.nodes[s].fire_count for s in sim.sync_of)
+    assert len(calls) <= sync_fires
