@@ -210,6 +210,9 @@ class Simulation:
         # round k -> {node_id: time of its k-th fire}, for rounds not yet
         # recorded; round k is complete once its entry holds all n nodes
         self._rounds: defaultdict[int, dict[int, float]] = defaultdict(dict)
+        # rounds are kept for run() to record until a run has returned; from
+        # then on step() frees each round once every node has fired in it
+        self._keep_rounds = True
         self._prev_round_order: list[list[int]] | None = None
         self.completed_rounds = 0
         self.trace: list[TraceRecord] = []
@@ -369,7 +372,19 @@ class Simulation:
     def step(self) -> FireEvent:
         event = self.advance_to_next_fire()
         self._deliver(event)
+        if not self._keep_rounds:
+            self._free_round()
         return event
+
+    def _free_round(self):
+        """Drop the next round unrecorded once every node has fired in it.
+        The firing order of the round before it no longer precedes the next
+        recorded one, so it is forgotten too."""
+        r = self.completed_rounds + 1
+        if len(self._rounds.get(r, ())) == self.config.n:
+            del self._rounds[r]
+            self.completed_rounds = r
+            self._prev_round_order = None
 
     def _deliver(self, event: FireEvent):
         """Announce a fire to its channel. Only the members that miss it are
@@ -603,6 +618,7 @@ class Simulation:
         max_rounds = cfg.max_rounds
         if max_rounds is None:
             max_rounds = max(1000, 200 * cfg.n)
+        self._keep_rounds = True
         rec0 = self._record(0, np.array([nd.phi for nd in self.nodes]))
         obj0 = rec0.objective
         converged = rec0.converged
@@ -631,6 +647,7 @@ class Simulation:
                 prev_offsets = rec.offsets_by_node
         if not converged:
             rounds = self.completed_rounds
+        self._keep_rounds = False
         report = ConvergenceReport(
             rounds=rounds,
             final_objective=final,

@@ -378,6 +378,51 @@ def test_memory_kept_per_round_excludes_fire_history():
     assert (long - short) / 100 < 8 * n
 
 
+def _memory_kept_after_steps(steps):
+    """Bytes a converged simulation holds, trace dropped, after `steps`
+    further fires outside run()."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim = Simulation(SimConfig(n=6, channels=2, alpha=0.6, gamma=0.6, epsilon=1e-12,
+                                   rng_seed=11, max_rounds=60000))
+        assert sim.run().report.converged
+        sim.trace.clear()
+        for _ in range(steps):
+            sim.step()
+        assert sim.completed_rounds == min(nd.fire_count for nd in sim.nodes)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_steps_after_run_free_their_rounds():
+    # criterion 10 and the swap runs keep stepping a converged network; each
+    # round those steps complete is freed, where a buffered round of six fire
+    # times would keep about 90 bytes per step
+    _memory_kept_after_steps(6)
+    short, long = _memory_kept_after_steps(600), _memory_kept_after_steps(6600)
+    assert (long - short) / 6000 < 8
+
+
+def test_run_after_steps_records_from_the_next_round():
+    # the ten rounds stepped between the runs are freed unrecorded; the
+    # second run records the rounds it completes itself, each at its own time
+    sim = Simulation(SimConfig(n=6, channels=2, alpha=0.6, gamma=0.6, epsilon=1e-300,
+                               steady_tol=0.0, rng_seed=11, max_rounds=20))
+    sim.run()
+    for _ in range(60):
+        sim.step()
+    assert sim.completed_rounds == 30
+    resumed_at = sim.time
+    sim.config.max_rounds = 40
+    trace = sim.run().trace
+    assert [rec.round_index for rec in trace[21:]] == [0, *range(31, 41)]
+    assert all(rec.sim_time > resumed_at for rec in trace[22:])
+
+
+
 def test_trace_objective_consistent_with_core_math():
     cfg = SimConfig(n=6, channels=2, alpha=0.6, gamma=0.6, epsilon=1e-9,
                     rng_seed=11, max_rounds=20000)
