@@ -10,8 +10,10 @@ with its own unchanged benchmark files. The parent runs first in the first
 pair of every workload, and the order alternates from pair to pair.
 Workloads and run length default to those `BENCHMARK.json` declares.
 
-The output, `BENCH_<pr>.json`, holds the environment stamp (Python, numpy,
-processors, both git revisions and the hashes of their `src/` trees); per
+The output, `BENCH_<pr>.json`, holds the environment stamp (per side, both
+git revisions and the hashes of their `src/` trees, and the interpreter,
+library versions, BLAS threads and processors that the side's first run
+recorded in its result file); per
 workload and end-to-end metric the parent's and the change's quartiles, the
 change of the median in percent, the number of pairs in which the change
 read lower and whether the medians differ by more than the parent's
@@ -23,14 +25,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
+# The fields of a run's recorded environment that describe the machine and
+# the code, not the run's arguments.
+STAMP = ("python", "numpy", "scipy", "blas_threads", "nproc", "git_rev")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -54,8 +56,8 @@ def revision(checkout: Path) -> dict:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: its end-to-end metrics, correctness, op counts and
-    floating-point warnings."""
+    """One benchmark run: its end-to-end metrics, correctness, op counts,
+    floating-point warnings and recorded environment."""
     bench = json.loads((checkout / "BENCHMARK.json").read_text())
     cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", "0"]
@@ -73,6 +75,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": last["attempted"],
         "failed": last["failed"],
         "fp_warnings": sum(p["fp_warnings"] for p in detail["passes"]),
+        "env": {key: detail["env"][key] for key in STAMP},
     }
 
 
@@ -145,14 +148,7 @@ def main(argv=None) -> int:
         + f" --workload <name> --seed <seed> --seconds {seconds:g} --trace 0",
         "pairs": f"{len(args.seeds)} per workload, seeds {args.seeds[0]}-{args.seeds[-1]}, "
                  "parent first in the first pair and the order alternating",
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "nproc": len(os.sched_getaffinity(0)),
-            "blas_threads": 1,
-            "parent": revision(parent),
-            "change": revision(change),
-        },
+        "environment": {"parent": revision(parent), "change": revision(change)},
         "summary": {},
         "runs": {},
     }
@@ -161,7 +157,8 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = (("parent", parent), ("change", change))
             for side, checkout in order if i % 2 == 0 else order[::-1]:
-                runs[side][seed] = run_once(checkout, workload, seed, seconds)
+                run = runs[side][seed] = run_once(checkout, workload, seed, seconds)
+                doc["environment"][side].setdefault("run", run.pop("env"))
                 doc["summary"][workload] = summarise(runs, better)
                 out.write_text(json.dumps(doc, indent=1) + "\n")
             study = {s: runs[s][seed]["metrics"].get("study_s") for s in runs}

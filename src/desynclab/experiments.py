@@ -345,19 +345,11 @@ def _eventsim_point(args) -> list[SweepRow]:
     ]
 
 
-# The spec and rows of the latest run_sweep, which compare_bounds reads
-# instead of stepping every batch again. The tuple is the slot's own, so a
-# caller that changes its SweepResult's row list leaves it intact.
-_last_sweep: tuple[ExperimentSpec, tuple[SweepRow, ...]] | None = None
-
-
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """Run every grid point of the spec. Single-channel modes always run the
     plain and accelerated variants on identical per-trial starts, so the
     speed-up statistic is defined; the mode only selects the default grid.
-    The start batch is sampled once and shared by every grid point. Always
-    computes, and keeps the rows for a following `compare_bounds`."""
-    global _last_sweep
+    The start batch is sampled once and shared by every grid point."""
     if spec.mode in ("desync", "fast-desync"):
         phi0 = initial_phase_batch(spec.n, spec.trials, spec.seed_base)
         points = [(spec, phi0, a, e) for a in spec.alphas for e in spec.epsilons]
@@ -384,7 +376,6 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     else:
         chunks = [worker(p) for p in points]
     rows = [row for chunk in chunks for row in chunk]
-    _last_sweep = (spec, tuple(rows))
     return SweepResult(spec=spec, rows=rows)
 
 
@@ -403,15 +394,11 @@ class BoundsRow:
 
 def compare_bounds(spec: ExperimentSpec) -> list[BoundsRow]:
     """Observed max rounds versus the worst-case bounds, per grid point, read
-    off the sweep's paired rows: those of the latest `run_sweep` when its
-    spec equals this one, otherwise of a new sweep. A violated row indicates
-    an implementation bug (hard failure upstream)."""
+    off the sweep's paired rows. A violated row indicates an implementation
+    bug (hard failure upstream)."""
     if spec.mode not in ("desync", "fast-desync"):
         raise SpecError("bound comparison needs a single-channel mode")
-    if _last_sweep is not None and _last_sweep[0] == spec:
-        rows = _last_sweep[1]
-    else:
-        rows = run_sweep(spec).rows
+    rows = run_sweep(spec).rows
     return [
         BoundsRow(
             n=d.n, alpha=d.alpha, epsilon=d.epsilon, trials=d.trials,

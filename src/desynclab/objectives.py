@@ -24,12 +24,15 @@ from .problems import (
 
 def gap_residual(phi: np.ndarray) -> np.ndarray:
     """Consecutive-gap residual: (phi[i+1] - phi[i]) - 1/n, with the wrap gap
-    phi[0] + 1 - phi[n-1] in the last slot. Works on a trailing axis."""
+    phi[0] + 1 - phi[n-1] in the last slot. Works on a trailing axis; the
+    differences run on the flattened array, and the one they get wrong in
+    the last slot of each row is overwritten by the wrap gap."""
     n = phi.shape[-1]
     r = np.empty(phi.shape)
-    np.subtract(phi[..., 1:], phi[..., :-1], out=r[..., :-1])  # roll(phi, -1) - phi
-    np.subtract(phi[..., 0], phi[..., -1], out=r[..., -1])
-    r[..., -1] += 1.0
+    flat, last = phi.reshape(-1), r[..., -1]
+    np.subtract(flat[1:], flat[:-1], out=r.reshape(-1)[:-1])  # roll(phi, -1) - phi
+    np.subtract(phi[..., 0], phi[..., -1], out=last)
+    np.add(last, 1.0, out=last)
     r -= 1.0 / n
     return r
 

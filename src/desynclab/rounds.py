@@ -113,18 +113,27 @@ def desync_map(
     channel.
 
     `out` receives the result and `work` is scratch, both shaped like phi
-    and neither aliasing it; each is allocated when not given. The rolls
-    are slice copies, in the same operation order, so results do not
-    depend on whether buffers are passed."""
+    and neither aliasing it; each is allocated when not given, `work` also
+    when it is not C-contiguous. The neighbour sum runs once over the
+    flattened arrays, one contiguous pass instead of a short one per row;
+    it is wrong only in the end columns, which are then computed on their
+    own. Every addition is the roll form's, in the same order, so results
+    are bit-identical to it and do not depend on whether buffers are
+    passed. d is the wrap bias, zero except at its ends, so only its end
+    columns are subtracted (x - 0.0 is x)."""
+    n = phi.shape[-1]
     if out is None:
         out = np.empty(phi.shape)
-    if work is None:
+    if work is None or not work.flags.c_contiguous:
         work = np.empty(phi.shape)
-    work[..., 1:] = phi[..., :-1]          # roll(phi, 1)
-    work[..., 0] = phi[..., -1]
-    work[..., :-1] += phi[..., 1:]         # + roll(phi, -1)
-    work[..., -1] += phi[..., 0]
-    np.subtract(work, d, out=work)
+    flat, first, last = phi.reshape(-1), work[..., 0], work[..., -1]
+    # roll(phi, 1) + roll(phi, -1), right but for the end columns
+    np.add(flat[:-2], flat[2:], out=work.reshape(-1)[1:-1])
+    np.add(phi[..., -1], phi[..., 1 % n], out=first)
+    np.add(phi[..., (n - 2) % n], phi[..., 0], out=last)
+    np.subtract(first, d[0], out=first)
+    if n > 1:
+        np.subtract(last, d[-1], out=last)
     np.multiply(work, alpha / 2.0, out=work)
     np.multiply(phi, 1.0 - alpha, out=out)
     return np.add(out, work, out=out)

@@ -203,7 +203,7 @@ def batch_gap_objective(phi: np.ndarray) -> np.ndarray:
     """Single-channel objective along the last axis of a (trials, n) batch."""
     r = gap_residual(phi)
     r *= r
-    return 0.5 * r.sum(axis=-1)
+    return 0.5 * np.add.reduce(r, axis=-1)
 
 
 def batch_multichannel_objective(phi: np.ndarray) -> np.ndarray:
@@ -300,9 +300,9 @@ def _run_batch(
                 aborted[live[~keep & ~newly]] = True
                 rounds[live[newly]] = k
                 converged[live[newly]] = True
-                live, start = live[keep], start[keep]
-                phi = phi[keep]
-                mu = mu[keep] if fast else phi
+                live, start = live.compress(keep), start.compress(keep)
+                phi = phi.compress(keep, axis=0)
+                mu = mu.compress(keep, axis=0) if fast else phi
                 nxt, work, sync_work = nxt[: live.size], work[: live.size], sync_work[: live.size]
     return TrialBatchResult(rounds=rounds, converged=converged, aborted=aborted)
 

@@ -156,7 +156,7 @@ def test_multichannel_batch_tie_falls_back_to_sampler(tie_at_seed):
     assert np.all(np.diff(batch, axis=-1) > 0.0)
 
 
-@pytest.mark.parametrize("shape", [(7, 16), (5, 3, 4), (6,), (4, 1)])
+@pytest.mark.parametrize("shape", [(7, 16), (5, 3, 4), (6,), (4, 1), (3, 2), (1, 1)])
 def test_buffered_desync_map_equals_roll_form(shape):
     phi = REAL_DEFAULT_RNG(3).random(shape) * 5.0
     alpha, d = 0.37, wrap_bias(shape[-1])
@@ -171,13 +171,33 @@ def test_buffered_desync_map_equals_roll_form(shape):
     assert np.array_equal(buffered, rolled)
 
 
-@pytest.mark.parametrize("shape", [(7, 16), (5, 3, 4), (6,), (4, 1)])
+@pytest.mark.parametrize("shape", [(7, 16), (5, 3, 4), (6,), (4, 1), (3, 2), (1, 1)])
 def test_gap_residual_equals_roll_form(shape):
     phi = REAL_DEFAULT_RNG(4).random(shape) * 5.0
     rolled = np.roll(phi, -1, axis=-1) - phi
     rolled[..., -1] += 1.0
     rolled -= 1.0 / shape[-1]
     assert np.array_equal(gap_residual(phi), rolled)
+
+
+def test_flat_passes_on_strided_arrays():
+    # desync_map and gap_residual run their neighbour passes on flattened
+    # rows: a strided phi is read through a copy and a strided work buffer
+    # is replaced, so both still give the roll form
+    base = REAL_DEFAULT_RNG(7).random((6, 2, 16)) * 5.0
+    phi = base[:, 1, :]
+    alpha, d = 0.37, wrap_bias(16)
+    rolled = (1.0 - alpha) * phi + (alpha / 2.0) * (
+        np.roll(phi, 1, axis=-1) + np.roll(phi, -1, axis=-1) - d
+    )
+    out, work = np.full((6, 16), np.nan), np.full((16, 6), np.nan).T
+    assert np.array_equal(desync_map(phi, alpha, d, out=out, work=work), rolled)
+    assert np.array_equal(desync_map(phi.copy(), alpha, d, work=work), rolled)
+    residual = np.roll(phi, -1, axis=-1) - phi
+    residual[..., -1] += 1.0
+    residual -= 1.0 / 16
+    assert np.array_equal(gap_residual(phi), residual)
+    assert np.array_equal(gap_residual(base[:, :, ::2]), gap_residual(base[:, :, ::2].copy()))
 
 
 @pytest.mark.parametrize("shape", [(7, 16), (5, 3), (6,), (4, 2)])

@@ -23,7 +23,6 @@ from desynclab import (
     run_until_convergence,
     serialize_spec,
 )
-from desynclab import experiments as ex
 from desynclab.eventsim import trace_to_csv
 from desynclab.experiments import (
     ExperimentSpec,
@@ -219,51 +218,6 @@ def test_compare_bounds_rows_and_compliance():
     assert not row.violated
     assert row.max_rounds_desync <= row.bound_desync
     assert row.max_rounds_fast <= row.bound_fast
-
-
-def _count_batches(monkeypatch):
-    """Count the single-channel batches the sweep layer runs from now on."""
-    calls = []
-    for name in ("run_desync_batch", "run_fast_desync_batch"):
-        def counted(*args, _run=getattr(ex, name), **kwargs):
-            calls.append(1)
-            return _run(*args, **kwargs)
-        monkeypatch.setattr(ex, name, counted)
-    return calls
-
-
-def test_compare_bounds_cold_equals_warm(monkeypatch):
-    spec = small_spec(trials=6)
-    monkeypatch.setattr(ex, "_last_sweep", None)
-    cold = compare_bounds(spec)
-    run_sweep(spec)
-    calls = _count_batches(monkeypatch)
-    assert compare_bounds(spec) == cold
-    assert not calls
-
-
-@pytest.mark.parametrize("change", [
-    {"seed_base": 1}, {"trials": 7}, {"max_rounds": 10**6}, {"alphas": (0.3, 0.55)},
-])
-def test_compare_bounds_reruns_after_a_different_sweep(monkeypatch, change):
-    spec = small_spec(trials=6)
-    run_sweep(ExperimentSpec(**{**spec.__dict__, **change}))
-    calls = _count_batches(monkeypatch)
-    rows = compare_bounds(spec)
-    assert len(calls) == 2 * len(spec.alphas) * len(spec.epsilons)
-    monkeypatch.setattr(ex, "_last_sweep", None)
-    assert rows == compare_bounds(spec)
-
-
-def test_bounds_rows_survive_changes_to_the_sweep_result():
-    spec = small_spec(trials=6)
-    expected = compare_bounds(spec)
-    result = run_sweep(spec)
-    result.rows.clear()
-    assert compare_bounds(spec) == expected
-    result = run_sweep(spec)
-    result.rows = result.rows[::-1]
-    assert compare_bounds(spec) == expected
 
 
 def test_certify_spectra_grid_and_rejection():

@@ -11,7 +11,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from desynclab import experiments as ex
 from desynclab.experiments import (
     ExperimentSpec,
     compare_bounds,
@@ -69,14 +68,3 @@ def sweep_outputs(spec, out_dir):
 def test_sweep_outputs_match_golden_digests(name, tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         assert sweep_outputs(SPECS[name], tmp_path) == GOLDEN[name]
-
-
-@pytest.mark.parametrize("name", ["capped", "desync"])
-def test_cold_bounds_match_golden_digest(name, tmp_path, monkeypatch):
-    # with no earlier sweep to read, compare_bounds runs its own; its rows
-    # must be those the golden sweep pins
-    monkeypatch.setattr(ex, "_last_sweep", None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        write_bounds_csv(compare_bounds(SPECS[name]), tmp_path / "bounds.csv")
-    digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN[name]["bounds.csv"]
