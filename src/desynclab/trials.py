@@ -295,15 +295,17 @@ def _run_batch(
                 mu = phi
             v = objective(phi)
             keep = (v > epsilon) & ~diverging(v, start, k, onset)
-            if not keep.all():
+            kept = np.count_nonzero(keep)
+            if kept < live.size:
                 newly = v <= epsilon
                 aborted[live[~keep & ~newly]] = True
-                rounds[live[newly]] = k
-                converged[live[newly]] = True
+                done = live[newly]
+                rounds[done] = k
+                converged[done] = True
                 live, start = live.compress(keep), start.compress(keep)
                 phi = phi.compress(keep, axis=0)
                 mu = mu.compress(keep, axis=0) if fast else phi
-                nxt, work, sync_work = nxt[: live.size], work[: live.size], sync_work[: live.size]
+                nxt, work, sync_work = nxt[:kept], work[:kept], sync_work[:kept]
     return TrialBatchResult(rounds=rounds, converged=converged, aborted=aborted)
 
 
