@@ -10,14 +10,14 @@ with its own unchanged benchmark files. The parent runs first in the first
 pair of every workload, and the order alternates from pair to pair.
 Workloads and run length default to those `BENCHMARK.json` declares.
 
-The output, `BENCH_<pr>.json`, holds the environment stamp (per side, both
-git revisions and the hashes of their `src/` trees, and the interpreter,
-library versions, BLAS threads and processors that the side's first run
-recorded in its result file); per
-workload and end-to-end metric the parent's and the change's quartiles, the
-change of the median in percent, the number of pairs in which the change
-read lower and whether the medians differ by more than the parent's
-interquartile range; and the raw runs. It is rewritten after every run, so an interrupted session leaves the
+The output, `BENCH_<pr>.json`, holds the environment stamp: per side, the
+git revision and the hash of its `src/` tree, and the interpreter, library
+versions, BLAS threads and processors that the side's first run recorded in
+its result file. Per workload and end-to-end metric it holds the parent's
+and the change's quartiles, the change of the median in percent, the number
+of pairs in which the change read lower and whether the medians differ by
+more than the parent's interquartile range. Last come the raw runs. The
+file is rewritten after every run, so an interrupted script leaves the
 pairs it finished.
 """
 
