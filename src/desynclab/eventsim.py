@@ -206,14 +206,15 @@ class Simulation:
 
         self.nodes = [NodeState(i, int(channels[i]), float(phases[i])) for i in range(n)]
         self.time = 0.0
-        self.next_fire = np.array([T * (1.0 - nd.phi) for nd in self.nodes])
+        self._next_fire = [T * (1.0 - nd.phi) for nd in self.nodes]
         # round k -> {node_id: time of its k-th fire}, for rounds not yet
         # recorded; round k is complete once its entry holds all n nodes
         self._rounds: defaultdict[int, dict[int, float]] = defaultdict(dict)
         # rounds are kept for run() to record until a run has returned; from
         # then on step() frees each round once every node has fired in it
         self._keep_rounds = True
-        self._prev_round_order: list[list[int]] | None = None
+        # the last recorded round's channel-major firing order and occupancy
+        self._prev_round_order: tuple[bytes, list[int]] | None = None
         self.completed_rounds = 0
         self.trace: list[TraceRecord] = []
         self.order_change_rounds = 0
@@ -236,7 +237,7 @@ class Simulation:
         # next_fire and channel, so rescheduling leaves the old one to be
         # skipped when popped (it expires within one period)
         self._queue = [(t, nd.channel, nd.node_id)
-                       for t, nd in zip(self.next_fire.tolist(), self.nodes)]
+                       for t, nd in zip(self._next_fire, self.nodes)]
         heapq.heapify(self._queue)
 
         # analytical-staleness ledger: fixed ring per channel (initial phase
@@ -258,8 +259,21 @@ class Simulation:
         for mem in self.channel_members:
             mem.sort()
         self.sync_of: list[Optional[int]] = [None] * C
+        self._layout = None
+
+    def _member_layout(self):
+        """Every channel's members concatenated in channel order, each one's
+        channel and the position of its channel's Sync node (None on one
+        channel); rebuilt on first use after a membership or election change."""
+        if self._layout is None:
+            ids = np.array([i for mem in self.channel_members for i in mem], dtype=np.intp)
+            chan = np.repeat(np.arange(self.config.channels), self.occupancy())
+            syncs = np.array([-1 if s is None else s for s in self.sync_of])[chan]
+            self._layout = (ids, chan, np.argsort(ids)[syncs] if self.config.channels > 1 else None)
+        return self._layout
 
     def _elect(self, channel: int):
+        self._layout = None
         members = self.channel_members[channel]
         if not members:
             self.sync_of[channel] = None
@@ -285,16 +299,17 @@ class Simulation:
         return [len(m) for m in self.channel_members]
 
     def balance_channels(self):
-        """Greedy channel balancing: the Sync node of an over-full channel c
-        jumps to c+1 while n_c - n_{c+1} >= 1 (>= 2 at the wrap edge); both
-        channels re-elect afterwards. Terminates with every occupancy in
-        {floor(n/C), ceil(n/C)}."""
+        """Greedy channel balancing: the Sync node (smallest id) of an
+        over-full channel c jumps to c+1 while n_c - n_{c+1} >= 1 (>= 2 at
+        the wrap edge); every channel it touched re-elects once at the end.
+        Terminates with every occupancy in {floor(n/C), ceil(n/C)}."""
         C = self.config.channels
         if C < 2:
             return
         counts = self.occupancy()
         limit = 10 * self.config.n * C + 100
         switches = 0
+        touched = set()
         while True:
             moved = False
             for c in range(C):
@@ -308,8 +323,7 @@ class Simulation:
                     self.channel_members[nxt].sort()
                     counts[c] -= 1
                     counts[nxt] += 1
-                    self._elect(c)
-                    self._elect(nxt)
+                    touched.update((c, nxt))
                     switches += 1
                     moved = True
                     break
@@ -317,6 +331,8 @@ class Simulation:
                 break
             if switches > limit:
                 raise RuntimeError("channel balancing failed to terminate")
+        for c in sorted(touched):
+            self._elect(c)
 
     # ---------------- message loss ----------------
 
@@ -338,10 +354,17 @@ class Simulation:
 
     # ---------------- event loop ----------------
 
+    @property
+    def next_fire(self) -> np.ndarray:
+        """Pending fire times by node id, a read-only snapshot (writes would bypass the queue)."""
+        snapshot = np.array(self._next_fire)
+        snapshot.flags.writeable = False
+        return snapshot
+
     def _schedule(self, node: NodeState, t: float):
-        """Set the node's next fire time; the only writer of next_fire."""
+        """Set the node's next fire time and queue it (the hot paths inline this)."""
         t = float(t)  # queue keys compare faster as Python floats than numpy scalars
-        self.next_fire[node.node_id] = t
+        self._next_fire[node.node_id] = t
         heapq.heappush(self._queue, (t, node.channel, node.node_id))
 
     def advance_to_next_fire(self) -> FireEvent:
@@ -350,7 +373,7 @@ class Simulation:
         break on (channel, node_id)."""
         if not self.nodes:
             raise RuntimeError("empty network: no node can fire")
-        queue, next_fire, nodes = self._queue, self.next_fire, self.nodes
+        queue, next_fire, nodes = self._queue, self._next_fire, self.nodes
         while True:
             t, ch, nid = heapq.heappop(queue)
             firer = nodes[nid]
@@ -359,7 +382,8 @@ class Simulation:
         self.time = t
         firer.fire_count += 1
         self._rounds[firer.fire_count][nid] = t
-        self._schedule(firer, t + self.config.period)
+        t_next = next_fire[nid] = t + self.config.period
+        heapq.heappush(queue, (t_next, ch, nid))
         return FireEvent(t, nid, ch)
 
     def _heard(self, node: NodeState) -> Optional[float]:
@@ -432,7 +456,7 @@ class Simulation:
         is ill-conditioned at fire instants and can read 0 for a node whose
         fire is imminent, which would silently skip that fire on reschedule.
         """
-        remaining = self.next_fire.item(node.node_id) - t
+        remaining = self._next_fire[node.node_id] - t
         return max(0.0, 1.0 - remaining / self.config.period)
 
     def _on_fire_desync(self, listener: NodeState, event: FireEvent, announced: float):
@@ -441,14 +465,15 @@ class Simulation:
         mode). The listener has missed every fire since its own, so its
         last_heard_offset still holds the announcement it heard just before
         that fire: its successor's."""
-        if self.config.staleness_mode == "assumption1":
+        cfg = self.config
+        if cfg.staleness_mode == "assumption1":
             self._ledger_desync_update(listener, event)
             return
         succ = listener.last_heard_offset
         if succ is None:
             return
-        alpha = self.config.alpha
-        p_own = self._pending_phase(listener, event.time)
+        alpha, period, t, nid = cfg.alpha, cfg.period, event.time, listener.node_id
+        p_own = max(0.0, 1.0 - (self._next_fire[nid] - t) / period)  # _pending_phase
         # successor position relative to the firer; the successor fired ahead
         # of the listener, so lift near-zero values (a full cycle ahead, the
         # two-node case) past p_own instead of letting rounding collapse them
@@ -457,7 +482,7 @@ class Simulation:
             p_succ += 1.0
         p_new = (1.0 - alpha) * p_own + (alpha / 2.0) * p_succ
         new_pos = (announced + p_new) % 1.0
-        if self.config.use_nesterov:
+        if cfg.use_nesterov:
             k = listener.update_count + 1
             listener.update_count = k
             coef = momentum_coefficient(k)
@@ -472,7 +497,8 @@ class Simulation:
             theta_new = p_new
         # p_new is the listener's new phase at the fire instant; scheduling
         # from it directly avoids another mod-1 roundtrip
-        self._schedule(listener, event.time + self.config.period * (1.0 - theta_new))
+        t_next = self._next_fire[nid] = t + period * (1.0 - theta_new)
+        heapq.heappush(self._queue, (t_next, listener.channel, nid))
 
     def _ledger_value(self, nid: int, index: int) -> float:
         """A node's ledger value at update index `index`: the previous one
@@ -537,38 +563,35 @@ class Simulation:
 
     # ---------------- rounds, objective, trace ----------------
 
-    def _channel_vector(self, offsets: np.ndarray, channel: int) -> np.ndarray:
-        """Channel offsets in ascending cyclic order starting at the Sync node
-        (multichannel) unwrapped past the fold, or plain ascending order."""
-        members = self.channel_members[channel]
-        vals = offsets[members]
-        sync = self.sync_of[channel]
-        if self.config.channels == 1 or sync is None:
-            return np.sort(vals)
-        anchor = offsets[sync]
-        rel = (vals - anchor) % 1.0
-        rel[members.index(sync)] = 0.0
-        return anchor + np.sort(rel)
-
     def _channel_vectors(self, offsets: np.ndarray) -> list[np.ndarray]:
-        """The channel vector of every non-empty channel, in channel order."""
-        return [
-            self._channel_vector(offsets, c)
-            for c in range(self.config.channels)
-            if self.channel_members[c]
-        ]
+        """Every non-empty channel's offsets, in channel order: ascending and
+        cyclic from the Sync node (several channels) unwrapped past the fold,
+        or plain ascending (one channel); one lexsort orders every channel."""
+        ids, chan, sync_pos = self._member_layout()
+        vals = offsets[ids]
+        if sync_pos is None:
+            return [np.sort(vals)]
+        anchor = vals[sync_pos]
+        rel = (vals - anchor) % 1.0
+        rel[sync_pos] = 0.0
+        flat = rel[np.lexsort((rel, chan))] + anchor
+        return np.split(flat, np.cumsum([len(m) for m in self.channel_members if m])[:-1])
 
     def _objective(self, offsets: np.ndarray, vectors: list[np.ndarray]) -> float:
         """Per-channel equispacing terms of the channel vectors, in channel
         order, plus the circular Sync-alignment penalty (several channels;
-        the Sync nodes are elected only then)."""
+        the Sync nodes are elected only then). Channels of equal size take
+        their residuals from one gap_residual call on their stacked rows."""
+        residuals = {}
+        for size in {vec.size for vec in vectors}:
+            cs = [c for c, vec in enumerate(vectors) if vec.size == size]
+            residuals.update(zip(cs, gap_residual(np.stack([vectors[c] for c in cs]))))
         total = 0.0
-        for vec in vectors:
-            r = gap_residual(vec)
-            total += 0.5 * float(r @ r)
-        firsts = [offsets[s] for s in self.sync_of if s is not None]
-        if len(firsts) > 1:
-            f = np.array(firsts)
+        for c in range(len(vectors)):
+            total += 0.5 * float(residuals[c] @ residuals[c])
+        syncs = [s for s in self.sync_of if s is not None]
+        if len(syncs) > 1:
+            f = offsets[syncs]
             diffs = _circdiff(np.roll(f, -1) - f)
             total += 0.5 * float(diffs @ diffs)
         return total
@@ -602,15 +625,16 @@ class Simulation:
         self.completed_rounds += 1
         r = self.completed_rounds
         fired = self._rounds.pop(r)
-        order = [sorted(members, key=lambda i: (fired[i], i))
-                 for members in self.channel_members]
+        times = np.empty(self.config.n)
+        times[np.fromiter(fired, np.intp)] = np.fromiter(fired.values(), float)
+        ids, chan, _ = self._member_layout()
+        order = (ids[np.lexsort((ids, times[ids], chan))].tobytes(), self.occupancy())
         order_changed = (
             self._prev_round_order is not None and order != self._prev_round_order
         )
         if order_changed:
             self.order_change_rounds += 1
         self._prev_round_order = order
-        times = np.array([fired[i] for i in range(self.config.n)])
         return self._record(r, (1.0 - times / self.config.period) % 1.0, order_changed)
 
     def run(self) -> SimulationResult:
@@ -627,11 +651,12 @@ class Simulation:
         steady_round = None
         steady_run = 0
         prev_offsets = None
+        step, buffered, n, max_time = self.step, self._rounds, cfg.n, cfg.max_time
         while not converged and steady_round is None and self.completed_rounds < max_rounds:
-            if cfg.max_time is not None and self.time >= cfg.max_time:
+            if max_time is not None and self.time >= max_time:
                 break
-            self.step()
-            if len(self._rounds[self.completed_rounds + 1]) == cfg.n:
+            step()
+            if len(buffered[self.completed_rounds + 1]) == n:
                 rec = self._finish_round()
                 final = rec.objective
                 if not np.isfinite(final):
@@ -692,7 +717,7 @@ class Simulation:
             )
         if (a.channel - b.channel) % C not in (1, C - 1):
             raise SwapError(f"channels {a.channel} and {b.channel} are not adjacent")
-        fire_gap = abs(self.next_fire[node_a] - self.next_fire[node_b])
+        fire_gap = abs(self._next_fire[node_a] - self._next_fire[node_b])
         if fire_gap > tol * cfg.period:
             raise SwapError(
                 f"nodes {node_a} and {node_b} do not fire synchronously "
@@ -705,7 +730,7 @@ class Simulation:
         # twin is still pending, and a node swapped in between mis-pairs its
         # next update trigger
         pend = min(
-            self.next_fire[i] - self.time
+            self._next_fire[i] - self.time
             for i in self.channel_members[a.channel] + self.channel_members[b.channel]
         )
         if pend < cfg.guard_time:
@@ -730,9 +755,10 @@ class Simulation:
         self.channel_members[ca].sort()
         self.channel_members[cb].sort()
         a.channel, b.channel = cb, ca
+        self._layout = None
         # the channel is part of the queue key: requeue both under the new one
-        self._schedule(a, self.next_fire[node_a])
-        self._schedule(b, self.next_fire[node_b])
+        self._schedule(a, self._next_fire[node_a])
+        self._schedule(b, self._next_fire[node_b])
         if a.role == "sync":
             self.sync_of[cb] = node_a
             self.sync_of[ca] = node_b

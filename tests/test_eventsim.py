@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ def test_empty_network_errors():
     sim.nodes = []
     with pytest.raises(RuntimeError):
         sim.advance_to_next_fire()
+
+
+def test_next_fire_is_a_read_only_snapshot():
+    # a write would bypass the fire queue and leave the node never firing
+    sim = Simulation(SimConfig(n=6, rng_seed=1))
+    before = sim.next_fire
+    with pytest.raises(ValueError):
+        sim.next_fire[3] += 0.01
+    assert np.array_equal(sim.next_fire, before)
+    ev = sim.step()
+    assert before[ev.node_id] == ev.time
+    assert sim.next_fire[ev.node_id] == ev.time + sim.config.period
+    for _ in range(60):
+        sim.step()
+    assert min(nd.fire_count for nd in sim.nodes) >= 9
 
 
 def test_converged_state_fires_equally_spaced():
@@ -211,6 +227,22 @@ def test_balancing_terminal_counts_random_placements():
         lo, hi = n // 4, -(-n // 4)
         assert all(c in (lo, hi) for c in counts)
         assert sum(counts) == n
+
+
+def test_balance_channels_elects_for_direct_callers():
+    # balancing called on an unbalanced simulation leaves every channel with
+    # its smallest member as Sync, as construction with balancing does
+    chans = np.array([0] * 7 + [1, 1, 3])
+    cfg = SimConfig(n=10, channels=4, rng_seed=2, balance=False, initial_channels=chans)
+    sim = Simulation(cfg)
+    assert sim.occupancy() == [7, 2, 0, 1]
+    sim.balance_channels()
+    assert sim.channel_members == Simulation(replace(cfg, balance=True)).channel_members
+    assert all(n_c in (2, 3) for n_c in sim.occupancy())
+    for c, members in enumerate(sim.channel_members):
+        assert sim.sync_of[c] == min(members)
+        assert all(sim.nodes[i].channel == c for i in members)
+        assert [sim.nodes[i].role for i in members] == ["sync"] + ["desync"] * (len(members) - 1)
 
 
 def test_balancing_n14_reaches_3344():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from desynclab import SimConfig, Simulation
+from desynclab.objectives import gap_residual
 
 
 def hidden_adjacency(n, seed, listeners=6, links=3):
@@ -42,6 +43,13 @@ CONFIGS = {
     # the benchmark's shape: 8 members per channel
     "wide": dict(n=128, channels=16, alpha=0.6, gamma=0.6, epsilon=1e-300,
                  rng_seed=4, max_rounds=10),
+    # unequal occupancy, 3/3/3/4
+    "uneven": dict(n=13, channels=4, alpha=0.6, gamma=0.6, epsilon=1e-6,
+                   rng_seed=2, max_rounds=3000),
+    # unbalanced 5/1/0: one member alone and one empty channel
+    "lopsided": dict(n=6, channels=3, alpha=0.6, gamma=0.6, epsilon=1e-6,
+                     balance=False, initial_channels=np.array([0, 0, 0, 0, 1, 0]),
+                     rng_seed=3, max_rounds=400),
 }
 
 GOLDEN = {
@@ -50,8 +58,10 @@ GOLDEN = {
     "assumption1-multi": ("6d1e33c74dec9e3beb9b24624de4afb07605005b096fff26293f3619e6b8bf6d", None, 0),
     "hidden": ("da24b5c570677cd98dc98e3de72f8eacec3f002e913afad078439cf523f686f5", 98, 2),
     "live": ("3448842d887c1696226440b7b070b3392a7b464adaf70684d09e44f89b7657e8", 32, 0),
+    "lopsided": ("15d580dcbe335e1638bf1990e61ca469c17e8cb19061817dd5b79e5aa731173f", 37, 0),
     "lossy": ("4098e8af6ec625f724523875182cb94ab4e60fe0853b4869a1c90f8d383c9405", None, 10),
     "nesterov": ("ef906b1ad65c1b1c80acbb542f2be0605399957749da49b2d26d5f93cf9966d9", 12, 0),
+    "uneven": ("a684982270dcce9fd773eeaa2f7c1fc3dd39e0bd17259187c09bf126dc96f3b9", 26, 0),
     "wide": ("4c45db191d3b65c40d72216f46076a46754150b3c2352daba584a5ca1b0fd8af", None, 9),
 }
 
@@ -109,6 +119,76 @@ def test_golden_swap_sequence():
     assert swap_run()[1] == SWAP_GOLDEN
 
 
+class FireLog(Simulation):
+    """Keeps every fire event, for the record oracle."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.fires = []
+
+    def step(self):
+        ev = super().step()
+        self.fires.append(ev)
+        return ev
+
+
+def reference_record(sim, offsets):
+    """A record's channel vectors and objective, one channel at a time: the
+    channel's members in ascending cyclic order from its Sync node, lifted
+    past the fold (plain ascending order on one channel), one residual and
+    one dot per channel in channel order, then the Sync-alignment penalty."""
+    vectors = []
+    for c, members in enumerate(sim.channel_members):
+        if not members:
+            continue
+        vals = offsets[members]
+        sync = sim.sync_of[c]
+        if sim.config.channels == 1 or sync is None:
+            vectors.append(np.sort(vals))
+            continue
+        anchor = offsets[sync]
+        rel = (vals - anchor) % 1.0
+        rel[members.index(sync)] = 0.0
+        vectors.append(anchor + np.sort(rel))
+    total = 0.0
+    for vec in vectors:
+        r = gap_residual(vec)
+        total += 0.5 * float(r @ r)
+    firsts = [offsets[s] for s in sim.sync_of if s is not None]
+    if len(firsts) > 1:
+        f = np.array(firsts)
+        diffs = (np.roll(f, -1) - f + 0.5) % 1.0 - 0.5
+        total += 0.5 * float(diffs @ diffs)
+    return vectors, total
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_records_match_per_channel_reference(name):
+    # the digests do not cover per_channel; every record's vectors, objective
+    # and order-change flag are rebuilt here one channel at a time
+    sim = FireLog(SimConfig(**CONFIGS[name]))
+    res = sim.run()
+    kth_fire = [[] for _ in range(sim.config.n)]
+    for ev in sim.fires:
+        kth_fire[ev.node_id].append(ev.time)
+    prev_order, changes = None, 0
+    for rec in res.trace:
+        vectors, objective = reference_record(sim, rec.offsets_by_node)
+        assert len(rec.per_channel) == len(vectors)
+        assert all(np.array_equal(a, b) for a, b in zip(rec.per_channel, vectors))
+        assert rec.objective == objective
+        changed = False
+        if rec.round_index > 0:
+            k = rec.round_index - 1
+            order = [sorted(members, key=lambda i: (kth_fire[i][k], i))
+                     for members in sim.channel_members]
+            changed = prev_order is not None and order != prev_order
+            prev_order = order
+        assert rec.order_changed == changed
+        changes += changed
+    assert changes == res.order_change_rounds
+
+
 class ScanOracle(Simulation):
     """Checks every fire against the linear scan over (next_fire, channel,
     node_id), and inside run() the round counter against min(fire_count)."""
@@ -130,8 +210,8 @@ class ScanOracle(Simulation):
     def step(self):
         if self.in_run:
             self.check_rounds()
-        expected = min((self.next_fire[nd.node_id], nd.channel, nd.node_id)
-                       for nd in self.nodes)
+        next_fire = self.next_fire  # one snapshot per step
+        expected = min((next_fire[nd.node_id], nd.channel, nd.node_id) for nd in self.nodes)
         ev = super().step()
         assert (ev.time, ev.channel, ev.node_id) == expected
         return ev
