@@ -473,7 +473,7 @@ class Simulation:
         if succ is None:
             return
         alpha, period, t, nid = cfg.alpha, cfg.period, event.time, listener.node_id
-        p_own = max(0.0, 1.0 - (self._next_fire[nid] - t) / period)  # _pending_phase
+        p_own = max(0.0, 1.0 - (self._next_fire[nid] - t) / period)  # as in _pending_phase
         # successor position relative to the firer; the successor fired ahead
         # of the listener, so lift near-zero values (a full cycle ahead, the
         # two-node case) past p_own instead of letting rounding collapse them
