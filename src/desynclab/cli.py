@@ -11,13 +11,14 @@ import json
 import os
 import sys
 
-from .eventsim import SimConfig, run_simulation, trace_to_csv
+from .eventsim import run_simulation, trace_to_csv
 from .experiments import (
     EXIT_BOUND_VIOLATION,
     EXIT_OK,
     EXIT_TRIAL_FAILURE,
     EXIT_VALIDATION,
     SpecError,
+    _sim_config,
     compare_bounds,
     emit_plotdata,
     load_summary,
@@ -85,17 +86,7 @@ def _cmd_simulate(args) -> int:
     spec = _load_spec(args)
     if spec.mode != "event-sim":
         raise SpecError("simulate needs mode event-sim")
-    cfg = SimConfig(
-        n=spec.n,
-        channels=spec.channels or 1,
-        alpha=spec.alphas[0],
-        gamma=spec.gammas[0],
-        epsilon=spec.epsilons[0],
-        loss_probability=spec.loss_probability,
-        staleness_mode=spec.staleness_mode,
-        rng_seed=spec.seed_base,
-        max_rounds=spec.max_rounds,
-    )
+    cfg = _sim_config(spec, spec.alphas[0], spec.gammas[0], spec.epsilons[0], spec.seed_base)
     result = run_simulation(cfg)
     os.makedirs(spec.out_dir, exist_ok=True)
     trace_path = os.path.join(spec.out_dir, "trace.csv")

@@ -54,6 +54,13 @@ from .objectives import gap_residual
 from .rounds import ConvergenceReport, momentum_coefficient
 
 
+# steady-state detection: offsets moving less than SimConfig.steady_tol per
+# round for this many consecutive rounds. Under partial connectivity the
+# settled firing pattern need not be equidistant, so the objective can
+# plateau above epsilon while the network is steady.
+STEADY_ROUNDS = 3
+
+
 def _circdiff(x):
     """Reduce circle differences (a float or an array) into [-0.5, 0.5)."""
     return (x + 0.5) % 1.0 - 0.5
@@ -79,16 +86,10 @@ class SimConfig:
     consecutive_miss_threshold: int = 10
     guard_time: float = 0.006
     max_rounds: Optional[int] = None
-    max_time: Optional[float] = None
     initial_phases: Optional[np.ndarray] = None
     initial_channels: Optional[np.ndarray] = None
     balance: bool = True
-    # steady-state detection: offsets moving less than steady_tol per round
-    # for steady_rounds_needed consecutive rounds. Under partial
-    # connectivity the settled firing pattern need not be equidistant, so
-    # the objective can plateau above epsilon while the network is steady.
-    steady_tol: float = 1e-7
-    steady_rounds_needed: int = 3
+    steady_tol: float = 1e-7  # see STEADY_ROUNDS
 
     def __post_init__(self):
         if self.n < 1:
@@ -138,9 +139,6 @@ class NodeState:
         self.last_heard_offset: Optional[float] = None
         self.miss_counter = 0
         self.full_listening = False
-
-    def theta(self, t: float, period: float) -> float:
-        return (t / period + self.phi) % 1.0
 
     def __repr__(self):
         return (
@@ -226,25 +224,26 @@ class Simulation:
         self._missed: list[set[int]] = [set() for _ in range(C)]
         self._awaiting: list[set[int]] = [set() for _ in range(C)]
 
+        # pending-fire queue keyed (time, channel, node_id), the scan's
+        # tie-break; an entry is live while it matches the node's current
+        # next_fire and channel, so rescheduling or moving a node leaves the
+        # old one to be skipped when popped (it expires within one period)
+        self._queue = [(t, nd.channel, nd.node_id)
+                       for t, nd in zip(self._next_fire, self.nodes)]
+        heapq.heapify(self._queue)
+
         self._rebuild_channels()
         if C > 1:
             if config.balance:
                 self.balance_channels()
             for c in range(C):
                 self._elect(c)
-        # pending-fire queue keyed (time, channel, node_id), the scan's
-        # tie-break; an entry is live while it matches the node's current
-        # next_fire and channel, so rescheduling leaves the old one to be
-        # skipped when popped (it expires within one period)
-        self._queue = [(t, nd.channel, nd.node_id)
-                       for t, nd in zip(self._next_fire, self.nodes)]
-        heapq.heapify(self._queue)
 
         # analytical-staleness ledger: fixed ring per channel (initial phase
         # order) plus per-node previous/current iterate values
-        self._ring_pred = np.full(n, -1, dtype=int)
-        self._ring_succ = np.full(n, -1, dtype=int)
         if config.staleness_mode == "assumption1":
+            self._ring_pred = np.full(n, -1, dtype=int)
+            self._ring_succ = np.full(n, -1, dtype=int)
             self._led_prev = phases.astype(np.float64).copy()
             self._led_curr = phases.astype(np.float64).copy()
             self._build_rings()
@@ -298,6 +297,28 @@ class Simulation:
     def occupancy(self) -> list:
         return [len(m) for m in self.channel_members]
 
+    def _move(self, nid: int, channel: int):
+        """Move a node to another channel; roles are left to the caller. The
+        node carries what it heard and whether it awaits an update, counts
+        as a misser in its new channel (its own value authoritative), and
+        its pending fire is requeued under the new channel, part of the
+        queue key."""
+        node = self.nodes[nid]
+        old = node.channel
+        node.last_heard_offset = self._heard(node)
+        self._missed[old].discard(nid)
+        self._missed[channel].add(nid)
+        if nid in self._awaiting[old]:
+            self._awaiting[old].remove(nid)
+            self._awaiting[channel].add(nid)
+        self.channel_members[old].remove(nid)
+        members = self.channel_members[channel]
+        members.append(nid)
+        members.sort()
+        node.channel = channel
+        self._layout = None
+        self._schedule(node, self._next_fire[nid])
+
     def balance_channels(self):
         """Greedy channel balancing: the Sync node (smallest id) of an
         over-full channel c jumps to c+1 while n_c - n_{c+1} >= 1 (>= 2 at
@@ -316,11 +337,7 @@ class Simulation:
                 nxt = (c + 1) % C
                 need = 2 if c == C - 1 else 1
                 if counts[c] - counts[nxt] >= need and counts[c] > 0:
-                    mover = elect_sync_node(self.channel_members[c])
-                    self.nodes[mover].channel = nxt
-                    self.channel_members[c].remove(mover)
-                    self.channel_members[nxt].append(mover)
-                    self.channel_members[nxt].sort()
+                    self._move(elect_sync_node(self.channel_members[c]), nxt)
                     counts[c] -= 1
                     counts[nxt] += 1
                     touched.update((c, nxt))
@@ -449,16 +466,6 @@ class Simulation:
                 if self.message_delivered(watcher, firer_id):
                     self._on_fire_sync(nodes[watcher], event, announced)
 
-    def _pending_phase(self, node: NodeState, t: float) -> float:
-        """Listener phase at time t derived from its pending fire.
-
-        Time-to-fire is exact where it matters; the (t/T + phi) mod 1 form
-        is ill-conditioned at fire instants and can read 0 for a node whose
-        fire is imminent, which would silently skip that fire on reschedule.
-        """
-        remaining = self._next_fire[node.node_id] - t
-        return max(0.0, 1.0 - remaining / self.config.period)
-
     def _on_fire_desync(self, listener: NodeState, event: FireEvent, announced: float):
         """Midpoint update at the predecessor's fire, for a listener awaiting
         its update since its own fire; skipped while caches are cold (live
@@ -473,7 +480,11 @@ class Simulation:
         if succ is None:
             return
         alpha, period, t, nid = cfg.alpha, cfg.period, event.time, listener.node_id
-        p_own = max(0.0, 1.0 - (self._next_fire[nid] - t) / period)  # as in _pending_phase
+        # the listener's phase from its pending fire: time-to-fire is exact
+        # where it matters, while the (t/T + phi) mod 1 form is
+        # ill-conditioned at fire instants and can read 0 for a node whose
+        # fire is imminent, which would silently skip that fire on reschedule
+        p_own = max(0.0, 1.0 - (self._next_fire[nid] - t) / period)
         # successor position relative to the firer; the successor fired ahead
         # of the listener, so lift near-zero values (a full cycle ahead, the
         # two-node case) past p_own instead of letting rounding collapse them
@@ -493,7 +504,6 @@ class Simulation:
         else:
             listener.update_count += 1
             listener.phi = new_pos
-            listener.pos_phi = new_pos
             theta_new = p_new
         # p_new is the listener's new phase at the fire instant; scheduling
         # from it directly avoids another mod-1 roundtrip
@@ -514,9 +524,8 @@ class Simulation:
         self._led_curr[i] = value
         node.update_count += 1
         node.phi = value
-        node.pos_phi = value
         T = self.config.period
-        self._schedule(node, t + T * (1.0 - node.theta(t, T)))
+        self._schedule(node, t + T * (1.0 - (t / T + value) % 1.0))
 
     def _ledger_desync_update(self, listener: NodeState, event: FireEvent):
         """Analytical-model update: neighbours' values are read at the
@@ -550,16 +559,18 @@ class Simulation:
         return (1.0 - gamma) * theta
 
     def _on_fire_sync(self, listener: NodeState, event: FireEvent, announced: float):
-        t = event.time
+        t, nid = event.time, listener.node_id
         if self.config.staleness_mode == "assumption1":
             next_val = self._ledger_value(event.node_id, listener.update_count)
-            theta_new = self._sync_pull((self._led_curr[listener.node_id] - next_val) % 1.0)
+            theta_new = self._sync_pull((self._led_curr[nid] - next_val) % 1.0)
             self._ledger_commit(listener, (next_val + theta_new) % 1.0, t)
             return
-        theta_new = self._sync_pull(self._pending_phase(listener, t))
+        period = self.config.period
+        # the listener's phase from its pending fire, as in _on_fire_desync
+        theta_new = self._sync_pull(max(0.0, 1.0 - (self._next_fire[nid] - t) / period))
         listener.update_count += 1
-        listener.phi = (theta_new - t / self.config.period) % 1.0
-        self._schedule(listener, t + self.config.period * (1.0 - theta_new))
+        listener.phi = (theta_new - t / period) % 1.0
+        self._schedule(listener, t + period * (1.0 - theta_new))
 
     # ---------------- rounds, objective, trace ----------------
 
@@ -651,10 +662,8 @@ class Simulation:
         steady_round = None
         steady_run = 0
         prev_offsets = None
-        step, buffered, n, max_time = self.step, self._rounds, cfg.n, cfg.max_time
+        step, buffered, n = self.step, self._rounds, cfg.n
         while not converged and steady_round is None and self.completed_rounds < max_rounds:
-            if max_time is not None and self.time >= max_time:
-                break
             step()
             if len(buffered[self.completed_rounds + 1]) == n:
                 rec = self._finish_round()
@@ -667,7 +676,7 @@ class Simulation:
                 if prev_offsets is not None:
                     drift = np.max(np.abs(_circdiff(rec.offsets_by_node - prev_offsets)))
                     steady_run = steady_run + 1 if drift < cfg.steady_tol else 0
-                    if steady_run >= cfg.steady_rounds_needed:
+                    if steady_run >= STEADY_ROUNDS:
                         steady_round = rec.round_index
                 prev_offsets = rec.offsets_by_node
         if not converged:
@@ -739,26 +748,8 @@ class Simulation:
                 f"({pend:.3e}s to the next fire)"
             )
         ca, cb = a.channel, b.channel
-        # each partner carries what it heard and whether it awaits an update;
-        # in its new channel it counts as a misser, its own value authoritative
-        a.last_heard_offset, b.last_heard_offset = self._heard(a), self._heard(b)
-        for node, old, new in ((node_a, ca, cb), (node_b, cb, ca)):
-            self._missed[old].discard(node)
-            self._missed[new].add(node)
-            if node in self._awaiting[old]:
-                self._awaiting[old].remove(node)
-                self._awaiting[new].add(node)
-        self.channel_members[ca].remove(node_a)
-        self.channel_members[cb].remove(node_b)
-        self.channel_members[ca].append(node_b)
-        self.channel_members[cb].append(node_a)
-        self.channel_members[ca].sort()
-        self.channel_members[cb].sort()
-        a.channel, b.channel = cb, ca
-        self._layout = None
-        # the channel is part of the queue key: requeue both under the new one
-        self._schedule(a, self._next_fire[node_a])
-        self._schedule(b, self._next_fire[node_b])
+        self._move(node_a, cb)
+        self._move(node_b, ca)
         if a.role == "sync":
             self.sync_of[cb] = node_a
             self.sync_of[ca] = node_b
@@ -766,7 +757,7 @@ class Simulation:
 
 def run_simulation(config: SimConfig) -> SimulationResult:
     """Build a seeded simulation (placement, balancing, election) and run the
-    fire-event loop to convergence or the round/time cap."""
+    fire-event loop to convergence, a steady state or the round cap."""
     return Simulation(config).run()
 
 

@@ -314,23 +314,28 @@ def _multichannel_point(args) -> list[SweepRow]:
     )
 
 
+def _sim_config(spec: ExperimentSpec, alpha: float, gamma: float, epsilon: float,
+                seed: int) -> SimConfig:
+    """The event simulation an event-sim spec describes at one grid point."""
+    return SimConfig(
+        n=spec.n,
+        channels=spec.channels or 1,
+        alpha=alpha,
+        gamma=gamma,
+        epsilon=epsilon,
+        loss_probability=spec.loss_probability,
+        staleness_mode=spec.staleness_mode,
+        rng_seed=seed,
+        max_rounds=spec.max_rounds,
+    )
+
+
 def _eventsim_point(args) -> list[SweepRow]:
     spec, alpha, gamma, epsilon = args
     rounds = np.zeros(spec.trials, dtype=np.int64)
     failures = 0
     for t in range(spec.trials):
-        cfg = SimConfig(
-            n=spec.n,
-            channels=spec.channels or 1,
-            alpha=alpha,
-            gamma=gamma,
-            epsilon=epsilon,
-            loss_probability=spec.loss_probability,
-            staleness_mode=spec.staleness_mode,
-            rng_seed=spec.seed_base + t,
-            max_rounds=spec.max_rounds,
-        )
-        result = run_simulation(cfg)
+        result = run_simulation(_sim_config(spec, alpha, gamma, epsilon, spec.seed_base + t))
         rounds[t] = result.report.rounds
         if not result.report.converged:
             failures += 1

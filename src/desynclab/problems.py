@@ -88,12 +88,6 @@ class SingleChannelProblem:
         """Ideal spacing between consecutive offsets (1/n)."""
         return 1.0 / self.n
 
-    def difference_matrix(self) -> np.ndarray:
-        return difference_matrix(self.n)
-
-    def wrap_bias(self) -> np.ndarray:
-        return wrap_bias(self.n)
-
     def reference_solution(self) -> np.ndarray:
         """The equispaced representative (0, 1/n, ..., (n-1)/n) of the solution set."""
         return np.arange(self.n) / self.n

@@ -53,14 +53,12 @@ class NesterovState:
     """Accelerated-iteration state; at k=0 the momentum vector equals phi."""
 
     phi: np.ndarray
-    phi_prev: np.ndarray
     mu: np.ndarray
     k: int = 0
 
     def __post_init__(self):
         phi = as_phase_vector(self.phi)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "phi_prev", as_phase_vector(self.phi_prev, phi.size))
         object.__setattr__(self, "mu", as_phase_vector(self.mu, phi.size))
         if self.k == 0 and not np.array_equal(self.phi, self.mu):
             raise ValueError("at k=0 the momentum vector must equal phi")
@@ -68,7 +66,7 @@ class NesterovState:
     @classmethod
     def initial(cls, phi0) -> "NesterovState":
         phi0 = as_phase_vector(phi0)
-        return cls(phi=phi0.copy(), phi_prev=phi0.copy(), mu=phi0.copy(), k=0)
+        return cls(phi=phi0.copy(), mu=phi0.copy(), k=0)
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ def fast_desync_round(state: NesterovState, problem: SingleChannelProblem) -> Ne
     k = state.k + 1
     phi_new = desync_map(mu, problem.alpha, wrap_bias(problem.n))
     mu_new = phi_new + momentum_coefficient(k) * (phi_new - state.phi)
-    return NesterovState(phi=phi_new, phi_prev=state.phi, mu=mu_new, k=k)
+    return NesterovState(phi=phi_new, mu=mu_new, k=k)
 
 
 def _sync_desync_map(

@@ -22,6 +22,8 @@ from .problems import MultichannelProblem, SingleChannelProblem
 
 # The dense matrix is a small-N oracle; anything bigger is out of scope.
 MAX_MATRIX_SIZE = 4096
+# distance from 1 within which spectral_report counts an eigenvalue as 1
+ONE_TOL = 1e-9
 
 
 def build_iteration_matrix(problem: MultichannelProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +134,7 @@ def _match_spectra(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(cost[rows, cols].max())
 
 
-def spectral_report(problem: MultichannelProblem, one_tol: float = 1e-9) -> SpectralReport:
+def spectral_report(problem: MultichannelProblem) -> SpectralReport:
     """Spectrum of M from its blocks, in O(sum n_c + C): each channel's
     Desync block, then the consensus block, whose last eigenvalue (j = C) is
     the one deflated away."""
@@ -144,5 +146,5 @@ def spectral_report(problem: MultichannelProblem, one_tol: float = 1e-9) -> Spec
         eigenvalues_M=eig_M,
         spectral_radius_deflated=rho,
         converges=rho < 1.0,
-        eigenvalue_one_multiplicity=int(np.sum(np.abs(eig_M - 1.0) <= one_tol)),
+        eigenvalue_one_multiplicity=int(np.sum(np.abs(eig_M - 1.0) <= ONE_TOL)),
     )

@@ -231,18 +231,48 @@ def test_balancing_terminal_counts_random_placements():
 
 def test_balance_channels_elects_for_direct_callers():
     # balancing called on an unbalanced simulation leaves every channel with
-    # its smallest member as Sync, as construction with balancing does
+    # its smallest member as Sync and every moved node queued under its new
+    # channel, as construction with balancing does
     chans = np.array([0] * 7 + [1, 1, 3])
     cfg = SimConfig(n=10, channels=4, rng_seed=2, balance=False, initial_channels=chans)
     sim = Simulation(cfg)
     assert sim.occupancy() == [7, 2, 0, 1]
     sim.balance_channels()
-    assert sim.channel_members == Simulation(replace(cfg, balance=True)).channel_members
+    twin = Simulation(replace(cfg, balance=True))
+    assert sim.channel_members == twin.channel_members
     assert all(n_c in (2, 3) for n_c in sim.occupancy())
     for c, members in enumerate(sim.channel_members):
         assert sim.sync_of[c] == min(members)
         assert all(sim.nodes[i].channel == c for i in members)
         assert [sim.nodes[i].role for i in members] == ["sync"] + ["desync"] * (len(members) - 1)
+    # stepped, not run: a node left queued under its old channel never fires,
+    # so no round would complete
+    assert [sim.step() for _ in range(500)] == [twin.step() for _ in range(500)]
+    assert all(nd.fire_count >= 49 for nd in sim.nodes)
+
+
+def test_balance_channels_mid_run_updates_only_on_in_channel_fires():
+    # a node moved after it fired awaits its update in its new channel: a
+    # fire of the channel it left must not trigger that update
+    chans = np.array([0] * 7 + [1, 1, 3])
+    cfg = SimConfig(n=10, channels=4, rng_seed=2, balance=False, initial_channels=chans)
+    sim = Simulation(cfg)
+    for _ in range(200):
+        sim.step()
+    update = sim._on_fire_desync
+    cross = []
+
+    def spy(listener, event, announced):
+        if listener.channel != event.channel:
+            cross.append((event.node_id, listener.node_id))
+        update(listener, event, announced)
+
+    sim._on_fire_desync = spy
+    sim.balance_channels()
+    for _ in range(500):
+        sim.step()
+    assert cross == []
+    assert all(nd.fire_count >= 69 for nd in sim.nodes)
 
 
 def test_balancing_n14_reaches_3344():

@@ -111,7 +111,7 @@ def test_nesterov_state_invariants():
     st = NesterovState.initial(phi)
     assert st.k == 0
     with pytest.raises(ValueError):
-        NesterovState(phi=phi, phi_prev=phi, mu=phi + 0.1, k=0)
+        NesterovState(phi=phi, mu=phi + 0.1, k=0)
 
 
 def test_fast_round_first_step_has_no_momentum():
