@@ -1,9 +1,10 @@
-"""Pinned digests of the sweep, bounds and summary outputs.
+"""Pinned digests of the sweep, bounds, spectra and summary outputs.
 
 The digests pin the written bytes of small sweeps that cover a diverging
-accelerated point, a multichannel grid and trials that hit the round cap,
-so any change to the round arithmetic, the batch bookkeeping or the output
-writers fails them.
+accelerated point, a multichannel grid, trials that hit the round cap and
+an event-simulation sweep with one capped simulation, and of a spectral
+certificate grid, so any change to the round arithmetic, the batch
+bookkeeping or the output writers fails them.
 """
 
 import hashlib
@@ -13,10 +14,12 @@ import pytest
 
 from desynclab.experiments import (
     ExperimentSpec,
+    certify_spectra,
     compare_bounds,
     emit_plotdata,
     run_sweep,
     write_bounds_csv,
+    write_spectra_csv,
     write_sweep_csv,
 )
 
@@ -32,6 +35,10 @@ SPECS = {
     "capped": ExperimentSpec(mode="desync", n=8, alphas=(0.1, 0.7),
                              epsilons=(1e-6,), trials=16, seed_base=3,
                              max_rounds=40),
+    # one of the three simulations stops at the cap
+    "event-sim": ExperimentSpec(mode="event-sim", n=6, channels=2, alphas=(0.5,),
+                                epsilons=(1e-3,), trials=3, seed_base=7,
+                                max_rounds=12),
 }
 
 GOLDEN = {
@@ -45,7 +52,12 @@ GOLDEN = {
         "summary.json": "fa9853ea0e23f5d10de84877df1ea5b799592827574ac10f8842c8933b6a4fe4",
         "sweep.csv": "d365df57b40d95075a0146db69b04017b6114fec23549dc70661a374036fed07",
     },
+    "event-sim": {
+        "summary.json": "bfc573d76c68604142cb212ec43f91f4848ef64988f50211626165931ef02c0d",
+        "sweep.csv": "400ce728781d06f3fa648fae4392dd7d17c23e69e2592838cf34a11cf7d1d17c",
+    },
     "much": {
+        "spectra.csv": "d2378afd6f057960964c9fd2c5b676938d006888c5e86a439c7d55bfc0adcd7d",
         "summary.json": "702df13f21ada36f334ce374d55674c4ea2497999caa605dd9bf9832022feb28",
         "sweep.csv": "0dec36289d4a8f1be3baebbe6495d4e6a6e4f3eacd9a281c726cb12fb2b99d6b",
     },
@@ -60,6 +72,12 @@ def sweep_outputs(spec, out_dir):
     if spec.mode == "desync":
         write_bounds_csv(compare_bounds(spec), out_dir / "bounds.csv")
         names.append("bounds.csv")
+    if spec.mode == "much":
+        # the certificate grid `desynclab spectra` derives from the spec
+        betas = tuple(a / 2.0 for a in spec.alphas)
+        write_spectra_csv(certify_spectra((spec.nodes_per_channel,), (spec.channels,),
+                                          betas, spec.gammas), out_dir / "spectra.csv")
+        names.append("spectra.csv")
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in names}
 
