@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .objectives import gap_residual
+from .objectives import _objective_sum, gap_residual
 from .rounds import ConvergenceReport, momentum_coefficient
 
 
@@ -597,15 +597,12 @@ class Simulation:
         for size in {vec.size for vec in vectors}:
             cs = [c for c, vec in enumerate(vectors) if vec.size == size]
             residuals.update(zip(cs, gap_residual(np.stack([vectors[c] for c in cs]))))
-        total = 0.0
-        for c in range(len(vectors)):
-            total += 0.5 * float(residuals[c] @ residuals[c])
         syncs = [s for s in self.sync_of if s is not None]
+        diffs = None
         if len(syncs) > 1:
             f = offsets[syncs]
             diffs = _circdiff(np.roll(f, -1) - f)
-            total += 0.5 * float(diffs @ diffs)
-        return total
+        return _objective_sum((residuals[c] for c in range(len(vectors))), diffs)
 
     def objective_of(self, offsets: np.ndarray) -> float:
         """Gap objective on recovered offsets: per-channel equispacing terms

@@ -13,6 +13,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 import yaml
@@ -23,6 +24,7 @@ from .problems import MultichannelProblem, SingleChannelProblem
 from .rounds import default_max_rounds
 from .spectral import spectral_report
 from .trials import (
+    TrialBatchResult,
     initial_multichannel_batch,
     initial_phase_batch,
     run_desync_batch,
@@ -42,18 +44,22 @@ DEFAULT_EPSILONS = (1e-3, 1e-4)
 DEFAULT_GAMMAS = (0.6,)
 DEFAULT_TRIALS = 400
 
-SWEEP_CSV_HEADER = (
-    "mode,n,channels,alpha,gamma,epsilon,trials,mean_rounds,max_rounds,"
-    "std_rounds,bound_desync,bound_fast,speedup_pct"
+# Each CSV's columns, in their fixed order, as names of its row's fields.
+_SWEEP_COLUMNS = (
+    "mode", "n", "channels", "alpha", "gamma", "epsilon", "trials", "mean_rounds",
+    "max_rounds", "std_rounds", "bound_desync", "bound_fast", "speedup_pct",
 )
-BOUNDS_CSV_HEADER = (
-    "n,alpha,epsilon,trials,max_rounds_desync,bound_desync,"
-    "max_rounds_fast,bound_fast,violated"
+_BOUNDS_COLUMNS = (
+    "n", "alpha", "epsilon", "trials", "max_rounds_desync", "bound_desync",
+    "max_rounds_fast", "bound_fast", "violated",
 )
-SPECTRA_CSV_HEADER = (
-    "n,channels,beta,gamma,spectral_radius_deflated,max_spectrum_mismatch,"
-    "eigenvalue_one_multiplicity,passed"
+_SPECTRA_COLUMNS = (
+    "n", "channels", "beta", "gamma", "spectral_radius_deflated",
+    "max_spectrum_mismatch", "eigenvalue_one_multiplicity", "passed",
 )
+SWEEP_CSV_HEADER = ",".join(_SWEEP_COLUMNS)
+BOUNDS_CSV_HEADER = ",".join(_BOUNDS_COLUMNS)
+SPECTRA_CSV_HEADER = ",".join(_SPECTRA_COLUMNS)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -89,10 +95,12 @@ class ExperimentSpec:
         return d
 
 
+# YAML config key -> ExperimentSpec field: four keys are renamed, the others
+# are the field names themselves.
 _SPEC_KEYS = {
-    "mode", "n", "channels", "nodes_per_channel", "alpha", "gamma", "epsilon",
-    "trials", "seed_base", "out", "max_rounds", "loss_probability",
-    "staleness_mode", "workers",
+    {"alphas": "alpha", "gammas": "gamma", "epsilons": "epsilon",
+     "out_dir": "out"}.get(f.name, f.name): f.name
+    for f in fields(ExperimentSpec)
 }
 
 
@@ -104,6 +112,18 @@ def _as_grid(value, name: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise SpecError(f"{name} must be a nonempty list of numbers")
     return tuple(float(v) for v in value)
+
+
+def _as_int(raw: dict, name: str, default=None) -> int | None:
+    """An integer key: an int or an integral float, or None when absent
+    without a default. Bools, fractions and other types are rejected."""
+    value = raw.get(name, default)
+    if value is None:
+        return None
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
@@ -120,20 +140,21 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     if not isinstance(raw, dict):
         raise SpecError("config must be a mapping")
     raw = {**raw, **(overrides or {})}
-    unknown = set(raw) - _SPEC_KEYS
+    unknown = set(raw) - set(_SPEC_KEYS)
     if unknown:
         raise SpecError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    raw = {_SPEC_KEYS[key]: value for key, value in raw.items()}
 
     mode = raw.get("mode")
     if mode not in MODES:
         raise SpecError(f"mode must be one of {MODES}, got {mode!r}")
 
     paired = mode in ("fast-desync", "fast-much")
-    alphas = _as_grid(raw.get("alpha"), "alpha") or (
+    alphas = _as_grid(raw.get("alphas"), "alpha") or (
         DEFAULT_ALPHAS_PAIRED if paired else DEFAULT_ALPHAS
     )
-    gammas = _as_grid(raw.get("gamma"), "gamma") or DEFAULT_GAMMAS
-    epsilons = _as_grid(raw.get("epsilon"), "epsilon") or DEFAULT_EPSILONS
+    gammas = _as_grid(raw.get("gammas"), "gamma") or DEFAULT_GAMMAS
+    epsilons = _as_grid(raw.get("epsilons"), "epsilon") or DEFAULT_EPSILONS
 
     for a in alphas:
         if not 0.0 < a < 1.0:
@@ -145,37 +166,35 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
         if e <= 0.0:
             raise SpecError(f"epsilon must be > 0: {e}")
 
-    n = raw.get("n")
-    channels = raw.get("channels")
-    npc = raw.get("nodes_per_channel")
+    n = _as_int(raw, "n")
+    channels = _as_int(raw, "channels")
+    npc = _as_int(raw, "nodes_per_channel")
     if mode in ("desync", "fast-desync"):
-        if n is None or int(n) < 2:
+        if n is None or n < 2:
             raise SpecError(f"mode {mode} needs n >= 2")
-        n = int(n)
     elif mode in ("much", "fast-much"):
         if channels is None or npc is None:
             raise SpecError(f"mode {mode} needs channels and nodes_per_channel")
-        channels, npc = int(channels), int(npc)
         if channels < 2 or npc < 2:
             raise SpecError("need channels >= 2 and nodes_per_channel >= 2")
         for a in alphas:
             if not 0.0 < a / 2.0 < 0.5:
                 raise SpecError(f"beta = alpha/2 out of (0, 1/2): alpha={a}")
     else:  # event-sim
-        if n is None or int(n) < 1:
+        if n is None or n < 1:
             raise SpecError("mode event-sim needs n >= 1")
-        n = int(n)
-        channels = int(channels) if channels is not None else 1
+        if channels is None:
+            channels = 1
 
-    trials = int(raw.get("trials", DEFAULT_TRIALS))
+    trials = _as_int(raw, "trials", DEFAULT_TRIALS)
     if trials < 1:
         raise SpecError(f"trials must be >= 1, got {trials}")
-    seed_base = int(raw.get("seed_base", 0))
+    seed_base = _as_int(raw, "seed_base", 0)
     if seed_base < 0 or seed_base + trials > 2**64:
         raise SpecError(
             f"seed_base must be >= 0 with seed_base + trials <= 2**64, got {seed_base}"
         )
-    workers = int(raw.get("workers", 1))
+    workers = _as_int(raw, "workers", 1)
     if workers < 1:
         raise SpecError(f"workers must be >= 1, got {workers}")
     loss = float(raw.get("loss_probability", 0.0))
@@ -184,11 +203,9 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     staleness = raw.get("staleness_mode", "live")
     if staleness not in ("live", "assumption1"):
         raise SpecError(f"unknown staleness_mode: {staleness!r}")
-    max_rounds = raw.get("max_rounds")
-    if max_rounds is not None:
-        max_rounds = int(max_rounds)
-        if max_rounds < 1:
-            raise SpecError("max_rounds must be >= 1")
+    max_rounds = _as_int(raw, "max_rounds")
+    if max_rounds is not None and max_rounds < 1:
+        raise SpecError("max_rounds must be >= 1")
 
     return ExperimentSpec(
         mode=mode,
@@ -200,7 +217,7 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
         epsilons=epsilons,
         trials=trials,
         seed_base=seed_base,
-        out_dir=str(raw.get("out", "results")),
+        out_dir=str(raw.get("out_dir", "results")),
         max_rounds=max_rounds,
         loss_probability=loss,
         staleness_mode=staleness,
@@ -209,26 +226,10 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:
-    doc = {
-        "mode": spec.mode,
-        "alpha": list(spec.alphas),
-        "gamma": list(spec.gammas),
-        "epsilon": list(spec.epsilons),
-        "trials": spec.trials,
-        "seed_base": spec.seed_base,
-        "out": spec.out_dir,
-        "loss_probability": spec.loss_probability,
-        "staleness_mode": spec.staleness_mode,
-        "workers": spec.workers,
-    }
-    if spec.n is not None:
-        doc["n"] = spec.n
-    if spec.channels is not None:
-        doc["channels"] = spec.channels
-    if spec.nodes_per_channel is not None:
-        doc["nodes_per_channel"] = spec.nodes_per_channel
-    if spec.max_rounds is not None:
-        doc["max_rounds"] = spec.max_rounds
+    """The spec as a YAML config; keys whose value is None are left out."""
+    values = spec.to_dict()
+    doc = {key: values[name] for key, name in _SPEC_KEYS.items()
+           if values[name] is not None}
     return yaml.safe_dump(doc, sort_keys=True)
 
 
@@ -260,27 +261,25 @@ class SweepResult:
         return sum(r.failures for r in self.rows)
 
 
-def _stats(rounds: np.ndarray) -> tuple[float, int, float]:
-    return float(rounds.mean()), int(rounds.max()), float(rounds.std())
+def _row(mode: str, result: TrialBatchResult, **point) -> SweepRow:
+    """The sweep row of one mode at one grid point: the round statistics and
+    the failure count of its trials, next to the point's own fields."""
+    rounds = result.rounds
+    return SweepRow(
+        mode=mode, trials=rounds.size, mean_rounds=float(rounds.mean()),
+        max_rounds=int(rounds.max()), std_rounds=float(rounds.std()),
+        failures=int((~result.converged).sum()), **point,
+    )
 
 
-def _paired_rows(spec, modes, plain, fast, **point) -> list[SweepRow]:
+def _paired_rows(modes, plain, fast, **point) -> list[SweepRow]:
     """The plain and accelerated rows of one grid point, both carrying the
     accelerated variant's speed-up over the plain mean rounds."""
     mean_p = plain.rounds.mean()
     mean_f = fast.rounds.mean()
     speedup = 100.0 * (mean_p - mean_f) / mean_p if mean_p > 0 else 0.0
-    rows = []
-    for mode, res in zip(modes, (plain, fast)):
-        mean, mx, std = _stats(res.rounds)
-        rows.append(
-            SweepRow(
-                mode=mode, trials=spec.trials, mean_rounds=mean, max_rounds=mx,
-                std_rounds=std, speedup_pct=speedup,
-                failures=int((~res.converged).sum()), **point,
-            )
-        )
-    return rows
+    return [_row(mode, res, speedup_pct=speedup, **point)
+            for mode, res in zip(modes, (plain, fast))]
 
 
 def _single_channel_point(args) -> list[SweepRow]:
@@ -294,7 +293,7 @@ def _single_channel_point(args) -> list[SweepRow]:
         warnings.simplefilter("ignore")
         bound_f = fast_desync_round_bound(problem)
     return _paired_rows(
-        spec, ("desync", "fast-desync"), plain, fast,
+        ("desync", "fast-desync"), plain, fast,
         n=n, channels=1, alpha=alpha, gamma=float("nan"), epsilon=epsilon,
         bound_desync=desync_round_bound(problem), bound_fast=bound_f,
     )
@@ -308,7 +307,7 @@ def _multichannel_point(args) -> list[SweepRow]:
     plain = run_sync_desync_batch(phi0, beta, gamma, epsilon, cap, fast=False)
     fast = run_sync_desync_batch(phi0, beta, gamma, epsilon, cap, fast=True)
     return _paired_rows(
-        spec, ("much", "fast-much"), plain, fast,
+        ("much", "fast-much"), plain, fast,
         n=n, channels=C, alpha=alpha, gamma=gamma, epsilon=epsilon,
         bound_desync=float("nan"), bound_fast=float("nan"),
     )
@@ -332,21 +331,19 @@ def _sim_config(spec: ExperimentSpec, alpha: float, gamma: float, epsilon: float
 
 def _eventsim_point(args) -> list[SweepRow]:
     spec, alpha, gamma, epsilon = args
-    rounds = np.zeros(spec.trials, dtype=np.int64)
-    failures = 0
-    for t in range(spec.trials):
-        result = run_simulation(_sim_config(spec, alpha, gamma, epsilon, spec.seed_base + t))
-        rounds[t] = result.report.rounds
-        if not result.report.converged:
-            failures += 1
-    mean, mx, std = _stats(rounds)
+    reports = [
+        run_simulation(_sim_config(spec, alpha, gamma, epsilon, spec.seed_base + t)).report
+        for t in range(spec.trials)
+    ]
+    result = TrialBatchResult(
+        rounds=np.array([rep.rounds for rep in reports], dtype=np.int64),
+        converged=np.array([rep.converged for rep in reports]),
+        aborted=np.zeros(len(reports), dtype=bool),
+    )
     return [
-        SweepRow(
-            mode="event-sim", n=spec.n, channels=spec.channels or 1, alpha=alpha,
-            gamma=gamma, epsilon=epsilon, trials=spec.trials, mean_rounds=mean,
-            max_rounds=mx, std_rounds=std, bound_desync=float("nan"),
-            bound_fast=float("nan"), speedup_pct=float("nan"), failures=failures,
-        )
+        _row("event-sim", result, n=spec.n, channels=spec.channels or 1, alpha=alpha,
+             gamma=gamma, epsilon=epsilon, bound_desync=float("nan"),
+             bound_fast=float("nan"), speedup_pct=float("nan"))
     ]
 
 
@@ -424,6 +421,9 @@ class SpectraRow:
     spectral_radius_deflated: float
     eigenvalue_one_multiplicity: int
     passed: bool
+    # No numeric spectrum is computed, so the mismatch reads nan ("does not
+    # apply").
+    max_spectrum_mismatch: float = float("nan")
 
 
 def certify_spectra(ns, cs, betas, gammas) -> list[SpectraRow]:
@@ -455,45 +455,35 @@ def certify_spectra(ns, cs, betas, gammas) -> list[SpectraRow]:
 # ---------------- output emission ----------------
 
 def _fmt(x) -> str:
-    # float() drops numpy's scalar type, whose repr is "np.float64(...)"
+    # float() drops numpy's scalar type, whose repr is "np.float64(...)";
+    # bools, numpy's included, are written as 0/1
     if isinstance(x, float):
         return repr(float(x))
+    if isinstance(x, (bool, np.bool_)):
+        return str(int(x))
     return str(x)
 
 
-def _write_csv(path, header: str, rows):
-    """The header line, then one comma-joined line of fields per row."""
+def _write_csv(path, columns: tuple[str, ...], rows):
+    """A header line of the column names, then each row's values of those
+    fields, comma-joined, one line per row."""
+    values = attrgetter(*columns)
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(_fmt(v) for v in values(row)) + "\n")
 
 
 def write_sweep_csv(result: SweepResult, path):
-    _write_csv(path, SWEEP_CSV_HEADER, (
-        (r.mode, r.n, r.channels, r.alpha, r.gamma, r.epsilon, r.trials,
-         r.mean_rounds, r.max_rounds, r.std_rounds, r.bound_desync,
-         r.bound_fast, r.speedup_pct)
-        for r in result.rows
-    ))
+    _write_csv(path, _SWEEP_COLUMNS, result.rows)
 
 
 def write_bounds_csv(rows, path):
-    _write_csv(path, BOUNDS_CSV_HEADER, (
-        (r.n, r.alpha, r.epsilon, r.trials, r.max_rounds_desync, r.bound_desync,
-         r.max_rounds_fast, r.bound_fast, int(r.violated))
-        for r in rows
-    ))
+    _write_csv(path, _BOUNDS_COLUMNS, rows)
 
 
 def write_spectra_csv(rows, path):
-    _write_csv(path, SPECTRA_CSV_HEADER, (
-        # No numeric spectrum is computed, so the mismatch column reads nan
-        # ("does not apply").
-        (r.n, r.channels, r.beta, r.gamma, r.spectral_radius_deflated,
-         float("nan"), r.eigenvalue_one_multiplicity, int(r.passed))
-        for r in rows
-    ))
+    _write_csv(path, _SPECTRA_COLUMNS, rows)
 
 
 def emit_plotdata(result: SweepResult, out_dir):

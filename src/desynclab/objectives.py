@@ -37,11 +37,22 @@ def gap_residual(phi: np.ndarray) -> np.ndarray:
     return r
 
 
+def _objective_sum(residuals, consensus: np.ndarray | None = None) -> float:
+    """0.5 * r @ r summed over the per-channel residuals in channel order,
+    starting from 0.0, plus 0.5 * d @ d of the first-node consensus
+    differences when given. The engine's and the simulator's objectives both
+    add up here, so the traces' objective bits depend on this order alone."""
+    total = 0.0
+    for r in residuals:
+        total += 0.5 * float(r @ r)
+    if consensus is not None:
+        total += 0.5 * float(consensus @ consensus)
+    return total
+
+
 def desync_objective(phi, problem: SingleChannelProblem) -> float:
     """0.5 * || gap residual ||^2; zero exactly on the equispaced states."""
-    phi = as_phase_vector(phi, problem.n)
-    r = gap_residual(phi)
-    return 0.5 * float(r @ r)
+    return _objective_sum([gap_residual(as_phase_vector(phi, problem.n))])
 
 
 def desync_gradient(phi, problem: SingleChannelProblem) -> np.ndarray:
@@ -62,14 +73,8 @@ def _first_node_values(phis: list[np.ndarray]) -> np.ndarray:
 def multichannel_objective(phis: Sequence, problem: MultichannelProblem) -> float:
     """Sum of per-channel gap objectives plus the cyclic first-node consensus penalty."""
     phis = as_channel_vectors(phis, problem)
-    total = 0.0
-    for p in phis:
-        r = gap_residual(p)
-        total += 0.5 * float(r @ r)
     first = _first_node_values(phis)
-    diffs = np.roll(first, -1) - first
-    total += 0.5 * float(diffs @ diffs)
-    return total
+    return _objective_sum([gap_residual(p) for p in phis], np.roll(first, -1) - first)
 
 
 def multichannel_gradient_channel(

@@ -54,6 +54,13 @@ def test_seed_base_out_of_range_exit_code(tmp_path, capsys):
     assert "seed_base" in capsys.readouterr().err
 
 
+def test_non_integral_integer_key_exit_code(tmp_path, capsys):
+    cfg = write(tmp_path, "frac.yaml", "mode: desync\nn: 8.5\nalpha: [0.5]\ntrials: 2\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: n must be an integer")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,flag,value,key", [
     ("sweep", "--trials", "0", "trials"),
     ("sweep", "--workers", "0", "workers"),

@@ -84,6 +84,29 @@ def test_parse_accepts_seeds_up_to_two_to_the_64():
     assert spec.seed_base + spec.trials == 2**64
 
 
+MUCH = "mode: much\nchannels: 3\nnodes_per_channel: 4\nalpha: [0.4]\n"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n", "8.5"), ("trials", "2.9"), ("seed_base", "1.5"), ("workers", "1.9"),
+    ("max_rounds", "10.5"), ("channels", "3.7"), ("nodes_per_channel", "4.2"),
+    ("n", "true"), ("trials", "'4'"),
+])
+def test_parse_rejects_non_integral_integer_keys(key, value):
+    base = MUCH if key in ("channels", "nodes_per_channel") else MINIMAL
+    text = "".join(line for line in base.splitlines(keepends=True)
+                   if not line.startswith(f"{key}:"))
+    with pytest.raises(SpecError, match=f"{key} must be an integer"):
+        parse_spec(f"{text}{key}: {value}\n")
+
+
+def test_parse_accepts_integral_floats_for_integer_keys():
+    spec = parse_spec("mode: much\nchannels: 3.0\nnodes_per_channel: 4\n"
+                      "trials: 2.0\nmax_rounds: 1.0e+5\n")
+    assert (spec.channels, spec.trials, spec.max_rounds) == (3, 2, 100000)
+    assert all(type(v) is int for v in (spec.channels, spec.trials, spec.max_rounds))
+
+
 def test_uniform_rows_rejects_seed_base_out_of_range():
     for seed_base, trials in [(-1, 1), (2**64 - 3, 4), (2**64, 1)]:
         with pytest.raises(ValueError, match="seed_base"):
