@@ -379,10 +379,17 @@ class Simulation:
         return snapshot
 
     def _schedule(self, node: NodeState, t: float):
-        """Set the node's next fire time and queue it (the hot paths inline this)."""
+        """Set the node's next fire time and queue it."""
         t = float(t)  # queue keys compare faster as Python floats than numpy scalars
         self._next_fire[node.node_id] = t
         heapq.heappush(self._queue, (t, node.channel, node.node_id))
+
+    def _pending_phase(self, node: NodeState, t: float) -> float:
+        """The node's phase at time t, read from its pending fire: time-to-fire
+        is exact where it matters, while the (t/T + phi) mod 1 form is
+        ill-conditioned at fire instants and can read 0 for a node whose fire
+        is imminent, which would silently skip that fire on reschedule."""
+        return max(0.0, 1.0 - (self._next_fire[node.node_id] - t) / self.config.period)
 
     def advance_to_next_fire(self) -> FireEvent:
         """Advance the clock to the earliest phase-1 crossing; the firer wraps
@@ -399,8 +406,7 @@ class Simulation:
         self.time = t
         firer.fire_count += 1
         self._rounds[firer.fire_count][nid] = t
-        t_next = next_fire[nid] = t + self.config.period
-        heapq.heappush(queue, (t_next, ch, nid))
+        self._schedule(firer, t + self.config.period)
         return FireEvent(t, nid, ch)
 
     def _heard(self, node: NodeState) -> Optional[float]:
@@ -479,12 +485,8 @@ class Simulation:
         succ = listener.last_heard_offset
         if succ is None:
             return
-        alpha, period, t, nid = cfg.alpha, cfg.period, event.time, listener.node_id
-        # the listener's phase from its pending fire: time-to-fire is exact
-        # where it matters, while the (t/T + phi) mod 1 form is
-        # ill-conditioned at fire instants and can read 0 for a node whose
-        # fire is imminent, which would silently skip that fire on reschedule
-        p_own = max(0.0, 1.0 - (self._next_fire[nid] - t) / period)
+        alpha, t = cfg.alpha, event.time
+        p_own = self._pending_phase(listener, t)
         # successor position relative to the firer; the successor fired ahead
         # of the listener, so lift near-zero values (a full cycle ahead, the
         # two-node case) past p_own instead of letting rounding collapse them
@@ -507,8 +509,7 @@ class Simulation:
             theta_new = p_new
         # p_new is the listener's new phase at the fire instant; scheduling
         # from it directly avoids another mod-1 roundtrip
-        t_next = self._next_fire[nid] = t + period * (1.0 - theta_new)
-        heapq.heappush(self._queue, (t_next, listener.channel, nid))
+        self._schedule(listener, t + cfg.period * (1.0 - theta_new))
 
     def _ledger_value(self, nid: int, index: int) -> float:
         """A node's ledger value at update index `index`: the previous one
@@ -566,8 +567,7 @@ class Simulation:
             self._ledger_commit(listener, (next_val + theta_new) % 1.0, t)
             return
         period = self.config.period
-        # the listener's phase from its pending fire, as in _on_fire_desync
-        theta_new = self._sync_pull(max(0.0, 1.0 - (self._next_fire[nid] - t) / period))
+        theta_new = self._sync_pull(self._pending_phase(listener, t))
         listener.update_count += 1
         listener.phi = (theta_new - t / period) % 1.0
         self._schedule(listener, t + period * (1.0 - theta_new))
@@ -676,6 +676,10 @@ class Simulation:
                     if steady_run >= STEADY_ROUNDS:
                         steady_round = rec.round_index
                 prev_offsets = rec.offsets_by_node
+            elif len(buffered) > n:
+                # a node is more than n fires ahead of the completed rounds: a
+                # Zeno exchange that would never complete another round
+                break
         if not converged:
             rounds = self.completed_rounds
         self._keep_rounds = False

@@ -9,6 +9,7 @@ Default grids are echoed into all outputs so results are self-describing.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -111,7 +112,19 @@ def _as_grid(value, name: str) -> tuple[float, ...]:
         value = [value]
     if not isinstance(value, (list, tuple)) or not value:
         raise SpecError(f"{name} must be a nonempty list of numbers")
-    return tuple(float(v) for v in value)
+    return tuple(_as_float(v, name) for v in value)
+
+
+def _as_float(value, name: str) -> float:
+    """A finite int or float, or a string that float() reads (PyYAML reads
+    `1e-3`, which has no dot, as a string). Anything else is rejected."""
+    try:
+        number = math.nan if isinstance(value, (bool, bytes)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise SpecError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _as_int(raw: dict, name: str, default=None) -> int | None:
@@ -197,7 +210,7 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     workers = _as_int(raw, "workers", 1)
     if workers < 1:
         raise SpecError(f"workers must be >= 1, got {workers}")
-    loss = float(raw.get("loss_probability", 0.0))
+    loss = _as_float(raw.get("loss_probability", 0.0), "loss_probability")
     if not 0.0 <= loss < 1.0:
         raise SpecError(f"loss_probability out of [0,1): {loss}")
     staleness = raw.get("staleness_mode", "live")

@@ -160,70 +160,67 @@ def sync_map(
     return np.add(out, work, out=out)
 
 
-def desync_round(state: DesyncState, problem: SingleChannelProblem) -> DesyncState:
-    phi = as_phase_vector(state.phi, problem.n)
-    nxt = desync_map(phi, problem.alpha, wrap_bias(problem.n))
-    return DesyncState(phi=nxt, k=state.k + 1)
-
-
 def momentum_coefficient(k: int) -> float:
     """(k-1)/(k+2): zero at the first iteration, approaching 1."""
     return (k - 1) / (k + 2)
 
 
+def _joint_round(phis: list, mus: list | None, k: int, alpha: float,
+                 gamma: float | None = None) -> tuple[list, list | None]:
+    """Round k on per-channel vectors, the one iteration of all four round
+    variants (a single channel is one vector with no gamma). Desync rows read
+    the momentum vectors when `mus` is given, phi otherwise. With `gamma`,
+    each channel's index 0 becomes the consensus row of the current first
+    nodes. With momentum, the new momentum vectors extrapolate by
+    (k-1)/(k+2) and mirror phi at the consensus row, which carries none."""
+    sources = phis if mus is None else mus
+    phi_new = [desync_map(src, alpha, wrap_bias(src.size)) for src in sources]
+    if gamma is not None:
+        first = sync_map(np.array([p[0] for p in phis]), gamma)
+        for c, nxt in enumerate(phi_new):
+            nxt[0] = first[c]
+    if mus is None:
+        return phi_new, None
+    coef = momentum_coefficient(k)
+    mu_new = [nxt + coef * (nxt - old) for nxt, old in zip(phi_new, phis)]
+    if gamma is not None:
+        for m, nxt in zip(mu_new, phi_new):
+            m[0] = nxt[0]
+    return phi_new, mu_new
+
+
+def desync_round(state: DesyncState, problem: SingleChannelProblem) -> DesyncState:
+    phi = as_phase_vector(state.phi, problem.n)
+    (nxt,), _ = _joint_round([phi], None, state.k + 1, problem.alpha)
+    return DesyncState(phi=nxt, k=state.k + 1)
+
+
 def fast_desync_round(state: NesterovState, problem: SingleChannelProblem) -> NesterovState:
     """Accelerated round: Desync map applied to the momentum vector, then the
     momentum extrapolation with coefficient (k-1)/(k+2)."""
-    mu = as_phase_vector(state.mu, problem.n)
+    phi, mu = (as_phase_vector(v, problem.n) for v in (state.phi, state.mu))
     k = state.k + 1
-    phi_new = desync_map(mu, problem.alpha, wrap_bias(problem.n))
-    mu_new = phi_new + momentum_coefficient(k) * (phi_new - state.phi)
+    (phi_new,), (mu_new,) = _joint_round([phi], [mu], k, problem.alpha)
     return NesterovState(phi=phi_new, mu=mu_new, k=k)
 
 
-def _sync_desync_map(
-    phis: list[np.ndarray], problem: MultichannelProblem, sources: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Apply one joint round. `sources` supplies the vectors the Desync rows
-    read (phis for the plain variant, momentum vectors for the fast one);
-    the consensus row always reads current first-node values."""
-    first = sync_map(np.array([p[0] for p in phis]), problem.gamma)
-    out = []
-    for c, src in enumerate(sources):
-        nxt = desync_map(src, problem.alpha, wrap_bias(src.size))
-        nxt[0] = first[c]
-        out.append(nxt)
-    return out
-
-
-def sync_desync_round(
-    state: MultichannelState, problem: MultichannelProblem
-) -> MultichannelState:
+def sync_desync_round(state: MultichannelState, problem: MultichannelProblem) -> MultichannelState:
     """One joint round: first nodes average with the next channel's first node;
     every other node performs the in-channel Desync update."""
     phis = as_channel_vectors(state.phis, problem)
-    nxt = _sync_desync_map(phis, problem, phis)
+    nxt, _ = _joint_round(phis, None, state.k + 1, problem.alpha, problem.gamma)
     return MultichannelState(phis=tuple(nxt), mus=None, k=state.k + 1)
 
 
-def fast_sync_desync_round(
-    state: MultichannelState, problem: MultichannelProblem
-) -> MultichannelState:
+def fast_sync_desync_round(state: MultichannelState,
+                           problem: MultichannelProblem) -> MultichannelState:
     """Joint round with in-channel acceleration: Desync coordinates run the
-    momentum scheme, Sync coordinates keep the plain consensus update. The
-    Desync rows read the momentum vectors, which mirror phi at index 0."""
+    momentum scheme, Sync coordinates keep the plain consensus update."""
     if state.mus is None:
         raise ValueError("state has no momentum memory; build it with nesterov=True")
-    phis = as_channel_vectors(state.phis, problem)
-    mus = as_channel_vectors(state.mus, problem)
+    phis, mus = (as_channel_vectors(v, problem) for v in (state.phis, state.mus))
     k = state.k + 1
-    phi_new = _sync_desync_map(phis, problem, mus)
-    coef = momentum_coefficient(k)
-    mu_new = []
-    for c in range(problem.num_channels):
-        m = phi_new[c] + coef * (phi_new[c] - phis[c])
-        m[0] = phi_new[c][0]
-        mu_new.append(m)
+    phi_new, mu_new = _joint_round(phis, mus, k, problem.alpha, problem.gamma)
     return MultichannelState(phis=tuple(phi_new), mus=tuple(mu_new), k=k)
 
 
@@ -245,13 +242,15 @@ def diverging(value, start, k: int, onset: int | None):
     return out
 
 
-def _infer_round_op(state, problem) -> Callable:
+def _variant(state) -> tuple[Callable, bool]:
+    """The state's default round operation and whether it carries momentum."""
     if isinstance(state, DesyncState):
-        return desync_round
+        return desync_round, False
     if isinstance(state, NesterovState):
-        return fast_desync_round
+        return fast_desync_round, True
     if isinstance(state, MultichannelState):
-        return fast_sync_desync_round if state.mus is not None else sync_desync_round
+        fast = state.mus is not None
+        return (fast_sync_desync_round if fast else sync_desync_round), fast
     raise TypeError(f"no round operation known for state type {type(state)!r}")
 
 
@@ -286,28 +285,17 @@ def run_until_convergence(
         max_rounds = default_max_rounds(nodes, problem.alpha, epsilon)
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    if round_op is None:
-        round_op = _infer_round_op(state, problem)
+    default_op, momentum = _variant(state)
+    round_op = round_op or default_op
 
     initial = float(_objective(state, problem))
     if not np.isfinite(initial):
         raise FloatingPointError("non-finite objective on the initial state")
-    if initial <= epsilon:
-        return ConvergenceReport(
-            rounds=0,
-            final_objective=initial,
-            trace=np.empty(0),
-            converged=True,
-            initial_objective=initial,
-        )
-
-    momentum = isinstance(state, NesterovState) or (
-        isinstance(state, MultichannelState) and state.mus is not None
-    )
     onset = momentum_onset(problem) if momentum else None
     trace = []
-    value = initial
-    for k in range(1, max_rounds + 1):
+    value, k = initial, 0
+    while value > epsilon and k < max_rounds:
+        k += 1
         state = round_op(state, problem)
         value = float(_objective(state, problem))
         if diverging(value, initial, k, onset):
@@ -316,18 +304,10 @@ def run_until_convergence(
                 f"(momentum onset {onset}; alpha/beta too aggressive?)"
             )
         trace.append(value)
-        if value <= epsilon:
-            return ConvergenceReport(
-                rounds=k,
-                final_objective=value,
-                trace=np.asarray(trace),
-                converged=True,
-                initial_objective=initial,
-            )
     return ConvergenceReport(
-        rounds=max_rounds,
+        rounds=k,
         final_objective=value,
         trace=np.asarray(trace),
-        converged=False,
+        converged=value <= epsilon,
         initial_objective=initial,
     )

@@ -61,6 +61,13 @@ def test_non_integral_integer_key_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_numeric_float_key_exit_code(tmp_path, capsys):
+    cfg = write(tmp_path, "bool.yaml", "mode: desync\nn: 4\nalpha: [0.5]\nepsilon: true\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: epsilon must be a finite number")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,flag,value,key", [
     ("sweep", "--trials", "0", "trials"),
     ("sweep", "--workers", "0", "workers"),

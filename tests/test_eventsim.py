@@ -1,10 +1,15 @@
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import desynclab
 from desynclab import (
     DesyncState,
     SimConfig,
@@ -483,6 +488,44 @@ def test_run_after_steps_records_from_the_next_round():
     assert [rec.round_index for rec in trace[21:]] == [0, *range(31, 41)]
     assert all(rec.sim_time > resumed_at for rec in trace[22:])
 
+
+ZENO_RUN = """
+from desynclab import SimConfig, Simulation
+sim = Simulation(SimConfig(n=13, channels=2, alpha=0.824, gamma=0.543,
+                           rng_seed=686658634, use_nesterov=True, max_rounds=26))
+rep = sim.run().report
+print(rep.converged, rep.rounds, sim.completed_rounds,
+      max(nd.fire_count for nd in sim.nodes))
+"""
+
+
+def test_run_returns_from_a_zeno_exchange():
+    # two accelerated Desync nodes of channel 1 trigger each other's updates
+    # ever faster from t = 2.577 s, so no further round completes; run()
+    # stops once a node is more than n fires ahead of the completed rounds.
+    # A child process with a timeout turns a regression into a failure,
+    # not a hang.
+    src = str(Path(desynclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", ZENO_RUN], env=env, timeout=60,
+                         capture_output=True, text=True, check=True)
+    converged, rounds, completed, fastest = out.stdout.split()
+    assert converged == "False"
+    assert int(rounds) == int(completed) < 26
+    assert int(fastest) > int(completed) + 13
+
+
+def test_run_records_rounds_stepped_before_it():
+    # rounds completed by steps before the first run() wait in the round
+    # buffer, dozens more than n, and are recorded, not taken for a Zeno
+    # exchange
+    cfg = SimConfig(n=4, channels=1, alpha=0.5, epsilon=1e-300, steady_tol=0.0,
+                    rng_seed=3, max_rounds=80)
+    sim = Simulation(cfg)
+    for _ in range(200):
+        sim.step()
+    assert len(sim._rounds) > 4 * cfg.n
+    assert sim.run().report.rounds == Simulation(cfg).run().report.rounds
 
 
 def test_trace_objective_consistent_with_core_math():

@@ -107,6 +107,26 @@ def test_parse_accepts_integral_floats_for_integer_keys():
     assert all(type(v) is int for v in (spec.channels, spec.trials, spec.max_rounds))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("epsilon", "true"), ("epsilon", "[x]"), ("epsilon", ".inf"), ("epsilon", "[.nan]"),
+    ("alpha", "[0.5, false]"), ("gamma", "[abc]"),
+    ("loss_probability", "false"), ("loss_probability", "abc"),
+    ("loss_probability", "[0.1]"), ("loss_probability", "-.inf"),
+])
+def test_parse_rejects_non_numeric_float_keys(key, value):
+    text = "".join(line for line in MINIMAL.splitlines(keepends=True)
+                   if not line.startswith(f"{key}:"))
+    with pytest.raises(SpecError, match=f"{key} must be a finite number"):
+        parse_spec(f"{text}{key}: {value}\n")
+
+
+def test_parse_accepts_exponents_without_a_dot():
+    # PyYAML reads 1e-3 as a string; it still reads as a number
+    spec = parse_spec("mode: event-sim\nn: 4\nalpha: [5e-1]\nepsilon: [1e-3, 2]\n"
+                      "loss_probability: 1e-1\n")
+    assert (spec.alphas, spec.epsilons, spec.loss_probability) == ((0.5,), (1e-3, 2.0), 0.1)
+
+
 def test_uniform_rows_rejects_seed_base_out_of_range():
     for seed_base, trials in [(-1, 1), (2**64 - 3, 4), (2**64, 1)]:
         with pytest.raises(ValueError, match="seed_base"):
