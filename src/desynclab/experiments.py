@@ -108,7 +108,7 @@ _SPEC_KEYS = {
 def _as_grid(value, name: str) -> tuple[float, ...]:
     if value is None:
         return ()
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float, str)):
         value = [value]
     if not isinstance(value, (list, tuple)) or not value:
         raise SpecError(f"{name} must be a nonempty list of numbers")

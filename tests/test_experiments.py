@@ -125,6 +125,8 @@ def test_parse_accepts_exponents_without_a_dot():
     spec = parse_spec("mode: event-sim\nn: 4\nalpha: [5e-1]\nepsilon: [1e-3, 2]\n"
                       "loss_probability: 1e-1\n")
     assert (spec.alphas, spec.epsilons, spec.loss_probability) == ((0.5,), (1e-3, 2.0), 0.1)
+    # a single grid value may stand without brackets, as 1.0e-3 always could
+    assert parse_spec("mode: desync\nn: 4\nepsilon: 1e-3\n").epsilons == (1e-3,)
 
 
 def test_uniform_rows_rejects_seed_base_out_of_range():
