@@ -31,12 +31,13 @@ staleness_mode:
   The firing ring is fixed from the initial phase order and every update
   with index k reads its neighbours' index-(k-1) values from a ledger,
   including values that have not been announced yet (that non-causality is
-  precisely what the analytical model assumes). Requires full
+  precisely what the analytical model assumes). The ledger keeps only each
+  node's previous value; its current one is node.phi. Requires full
   connectivity, zero loss, and no acceleration.
 
-Message loss is a per-receiver Bernoulli drop; non-adjacent (hidden) pairs
-never deliver. Guard times and listening modes are bookkeeping only; they
-never touch the phase math.
+Reception is stateless: a listener hears a fire unless the pair is hidden
+(non-adjacent pairs never deliver) or a per-receiver Bernoulli draw loses
+it. Guard times are bookkeeping only; they never touch the phase math.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class SimConfig:
     rng_seed: int = 0
     staleness_mode: str = "live"
     use_nesterov: bool = False
-    consecutive_miss_threshold: int = 10
     guard_time: float = 0.006
     max_rounds: Optional[int] = None
     initial_phases: Optional[np.ndarray] = None
@@ -137,8 +137,6 @@ class NodeState:
         # last announcement heard; authoritative only while the node is in its
         # channel's missed set (Simulation._heard reads it)
         self.last_heard_offset: Optional[float] = None
-        self.miss_counter = 0
-        self.full_listening = False
 
     def __repr__(self):
         return (
@@ -215,7 +213,6 @@ class Simulation:
         self._prev_round_order: tuple[bytes, list[int]] | None = None
         self.completed_rounds = 0
         self.trace: list[TraceRecord] = []
-        self.order_change_rounds = 0
         # per-channel delivery state: the latest announcement, the members
         # that did not receive it (the firer, the Sync node, hidden or lost
         # listeners; every other member heard it), and the Desync members
@@ -240,12 +237,12 @@ class Simulation:
                 self._elect(c)
 
         # analytical-staleness ledger: fixed ring per channel (initial phase
-        # order) plus per-node previous/current iterate values
+        # order) plus per-node previous iterate values; the current value of
+        # node i is nodes[i].phi
         if config.staleness_mode == "assumption1":
             self._ring_pred = np.full(n, -1, dtype=int)
             self._ring_succ = np.full(n, -1, dtype=int)
             self._led_prev = phases.astype(np.float64).copy()
-            self._led_curr = phases.astype(np.float64).copy()
             self._build_rings()
 
     # ---------------- topology & roles ----------------
@@ -354,20 +351,12 @@ class Simulation:
     # ---------------- message loss ----------------
 
     def message_delivered(self, listener_id: int, firer_id: int) -> bool:
-        """Bernoulli delivery with miss-counter bookkeeping; hidden pairs never
-        deliver and stay invisible to the listener's counter."""
+        """Whether the listener hears the firer: adjacent and not lost. A
+        hidden pair draws no loss."""
         cfg = self.config
         if cfg.adjacency is not None and not cfg.adjacency[listener_id, firer_id]:
             return False
-        listener = self.nodes[listener_id]
-        if cfg.loss_probability > 0.0 and self.rng.random() < cfg.loss_probability:
-            listener.miss_counter += 1
-            if listener.miss_counter >= cfg.consecutive_miss_threshold:
-                listener.full_listening = True
-            return False
-        listener.miss_counter = 0
-        listener.full_listening = False
-        return True
+        return not (cfg.loss_probability > 0.0 and self.rng.random() < cfg.loss_probability)
 
     # ---------------- event loop ----------------
 
@@ -514,15 +503,14 @@ class Simulation:
     def _ledger_value(self, nid: int, index: int) -> float:
         """A node's ledger value at update index `index`: the previous one
         while the node is already one update past it."""
-        if self.nodes[nid].update_count == index + 1:
+        node = self.nodes[nid]
+        if node.update_count == index + 1:
             return self._led_prev[nid]
-        return self._led_curr[nid]
+        return node.phi
 
     def _ledger_commit(self, node: NodeState, value: float, t: float):
         """Record a ledger update's new value and reschedule from it."""
-        i = node.node_id
-        self._led_prev[i] = self._led_curr[i]
-        self._led_curr[i] = value
+        self._led_prev[node.node_id] = node.phi
         node.update_count += 1
         node.phi = value
         T = self.config.period
@@ -539,7 +527,7 @@ class Simulation:
         pred_val = self._ledger_value(pred, listener.update_count)
         succ_val = self._ledger_value(succ, listener.update_count)
         alpha = self.config.alpha
-        p_own = (self._led_curr[i] - pred_val) % 1.0
+        p_own = (listener.phi - pred_val) % 1.0
         p_succ = (succ_val - pred_val) % 1.0
         if p_succ <= p_own:
             p_succ += 1.0
@@ -560,10 +548,10 @@ class Simulation:
         return (1.0 - gamma) * theta
 
     def _on_fire_sync(self, listener: NodeState, event: FireEvent, announced: float):
-        t, nid = event.time, listener.node_id
+        t = event.time
         if self.config.staleness_mode == "assumption1":
             next_val = self._ledger_value(event.node_id, listener.update_count)
-            theta_new = self._sync_pull((self._led_curr[nid] - next_val) % 1.0)
+            theta_new = self._sync_pull((listener.phi - next_val) % 1.0)
             self._ledger_commit(listener, (next_val + theta_new) % 1.0, t)
             return
         period = self.config.period
@@ -640,8 +628,6 @@ class Simulation:
         order_changed = (
             self._prev_round_order is not None and order != self._prev_round_order
         )
-        if order_changed:
-            self.order_change_rounds += 1
         self._prev_round_order = order
         return self._record(r, (1.0 - times / self.config.period) % 1.0, order_changed)
 
@@ -698,7 +684,7 @@ class Simulation:
             available_tx_time=[
                 cfg.period - len(m) * 2.0 * cfg.guard_time for m in self.channel_members if m
             ],
-            order_change_rounds=self.order_change_rounds,
+            order_change_rounds=sum(rec.order_changed for rec in self.trace),
             steady_round=steady_round if not converged else rounds,
         )
 

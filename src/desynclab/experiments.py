@@ -198,6 +198,8 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
             raise SpecError("mode event-sim needs n >= 1")
         if channels is None:
             channels = 1
+        if channels < 1:
+            raise SpecError(f"mode event-sim needs channels >= 1, got {channels}")
 
     trials = _as_int(raw, "trials", DEFAULT_TRIALS)
     if trials < 1:
@@ -219,6 +221,9 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     max_rounds = _as_int(raw, "max_rounds")
     if max_rounds is not None and max_rounds < 1:
         raise SpecError("max_rounds must be >= 1")
+    out_dir = raw.get("out_dir", "results")
+    if not isinstance(out_dir, str):
+        raise SpecError(f"out must be a string, got {out_dir!r}")
 
     return ExperimentSpec(
         mode=mode,
@@ -230,7 +235,7 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
         epsilons=epsilons,
         trials=trials,
         seed_base=seed_base,
-        out_dir=str(raw.get("out_dir", "results")),
+        out_dir=out_dir,
         max_rounds=max_rounds,
         loss_probability=loss,
         staleness_mode=staleness,

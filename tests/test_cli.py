@@ -45,6 +45,21 @@ def test_validation_error_exit_code(tmp_path):
     assert main(["sweep", "--config", missing]) == EXIT_VALIDATION
 
 
+def test_unreadable_config_or_summary_exit_code(tmp_path, capsys):
+    # a directory is an OSError other than FileNotFoundError
+    assert main(["sweep", "--config", str(tmp_path)]) == EXIT_VALIDATION
+    assert main(["plotdata", "--summary", str(tmp_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_null_out_exit_code(tmp_path, monkeypatch, capsys):
+    cfg = write(tmp_path, "null.yaml", "mode: desync\nn: 4\nalpha: [0.5]\ntrials: 2\nout:\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", cfg]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: out must be a string")
+    assert not (tmp_path / "None").exists()
+
+
 def test_seed_base_out_of_range_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, "neg.yaml", "mode: desync\nn: 4\nalpha: [0.5]\nseed_base: -2\n")
     assert main(["sweep", "--config", cfg]) == EXIT_VALIDATION

@@ -129,6 +129,21 @@ def test_parse_accepts_exponents_without_a_dot():
     assert parse_spec("mode: desync\nn: 4\nepsilon: 1e-3\n").epsilons == (1e-3,)
 
 
+@pytest.mark.parametrize("value", ["", "null", "7", "[a]", "true"])
+def test_parse_rejects_non_string_out(value):
+    # `out:` with no value is null; str(None) would write into ./None/
+    with pytest.raises(SpecError, match="out must be a string"):
+        parse_spec(f"{MINIMAL}out: {value}\n")
+    assert parse_spec(f"{MINIMAL}out: runs/a\n").out_dir == "runs/a"
+
+
+@pytest.mark.parametrize("channels", [0, -2])
+def test_parse_rejects_eventsim_channels_below_one(channels):
+    with pytest.raises(SpecError, match="channels >= 1"):
+        parse_spec(f"mode: event-sim\nn: 4\nchannels: {channels}\n")
+    assert parse_spec("mode: event-sim\nn: 4\n").channels == 1
+
+
 def test_uniform_rows_rejects_seed_base_out_of_range():
     for seed_base, trials in [(-1, 1), (2**64 - 3, 4), (2**64, 1)]:
         with pytest.raises(ValueError, match="seed_base"):

@@ -5,12 +5,16 @@ from hypothesis import strategies as st
 
 from desynclab import (
     MultichannelProblem,
+    MultichannelState,
     SingleChannelProblem,
     desync_gradient,
     desync_objective,
     multichannel_gradient_channel,
     multichannel_objective,
+    sync_desync_round,
+    wrap_bias,
 )
+from desynclab.rounds import desync_map
 
 
 def brute_force_objective(phi, n):
@@ -177,6 +181,34 @@ def test_multichannel_gradient_zero_at_minimizer():
     assert multichannel_objective(phis, mp) == pytest.approx(0.0, abs=1e-28)
     for c in range(3):
         assert np.allclose(multichannel_gradient_channel(c, phis, mp), 0.0, atol=1e-14)
+
+
+def test_desync_round_is_a_gradient_step():
+    # the paper's central statement: Desync is gradient descent on the gap
+    # objective with step alpha/2
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        n = int(rng.integers(2, 17))
+        alpha = float(rng.uniform(0.01, 0.99))
+        p = SingleChannelProblem(n, alpha, 1e-3)
+        phi = np.sort(rng.random(n))
+        step = phi - (alpha / 2.0) * desync_gradient(phi, p)
+        assert np.max(np.abs(desync_map(phi, alpha, wrap_bias(n)) - step)) <= 1e-12
+
+
+def test_multichannel_desync_rows_are_gradient_steps():
+    # every row but the Sync row (index 0, a consensus pull) steps by beta
+    # along its channel's gradient, on ragged channel counts
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        counts = tuple(int(c) for c in rng.integers(2, 8, size=int(rng.integers(2, 6))))
+        beta = float(rng.uniform(0.01, 0.49))
+        mp = MultichannelProblem(counts, beta, float(rng.uniform(0.01, 0.99)))
+        phis = [np.sort(rng.random(n)) for n in counts]
+        nxt = sync_desync_round(MultichannelState.initial(phis), mp).phis
+        for c, row in enumerate(nxt):
+            step = phis[c][1:] - beta * multichannel_gradient_channel(c, phis, mp)[1:]
+            assert np.max(np.abs(row[1:] - step)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
