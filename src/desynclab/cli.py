@@ -38,13 +38,18 @@ def _load_spec(args):
         if value is not None
     }
     with open(args.config) as fh:
-        return parse_spec(fh.read(), overrides)
+        spec = parse_spec(fh.read(), overrides)
+    # made before the run, so an unusable `out` costs no work
+    try:
+        os.makedirs(spec.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise SpecError(f"out {spec.out_dir!r} is not a usable directory: {exc}") from exc
+    return spec
 
 
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
     result = run_sweep(spec)
-    os.makedirs(spec.out_dir, exist_ok=True)
     csv_path = os.path.join(spec.out_dir, "sweep.csv")
     write_sweep_csv(result, csv_path)
     emit_plotdata(result, spec.out_dir)
@@ -58,7 +63,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_bounds(args) -> int:
     spec = _load_spec(args)
     rows = compare_bounds(spec)
-    os.makedirs(spec.out_dir, exist_ok=True)
     csv_path = os.path.join(spec.out_dir, "bounds.csv")
     write_bounds_csv(rows, csv_path)
     print(f"wrote {csv_path} ({len(rows)} rows)")
@@ -74,7 +78,6 @@ def _cmd_spectra(args) -> int:
         raise SpecError("spectra certification needs mode much or fast-much")
     betas = tuple(a / 2.0 for a in spec.alphas)
     rows = certify_spectra((spec.nodes_per_channel,), (spec.channels,), betas, spec.gammas)
-    os.makedirs(spec.out_dir, exist_ok=True)
     csv_path = os.path.join(spec.out_dir, "spectra.csv")
     write_spectra_csv(rows, csv_path)
     failed = [r for r in rows if not r.passed]
@@ -88,7 +91,6 @@ def _cmd_simulate(args) -> int:
         raise SpecError("simulate needs mode event-sim")
     cfg = _sim_config(spec, spec.alphas[0], spec.gammas[0], spec.epsilons[0], spec.seed_base)
     result = run_simulation(cfg)
-    os.makedirs(spec.out_dir, exist_ok=True)
     trace_path = os.path.join(spec.out_dir, "trace.csv")
     trace_to_csv(result.trace, trace_path, cfg.channels)
     report_path = os.path.join(spec.out_dir, "simulation.json")

@@ -13,7 +13,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
 
 import numpy as np
@@ -106,8 +106,6 @@ _SPEC_KEYS = {
 
 
 def _as_grid(value, name: str) -> tuple[float, ...]:
-    if value is None:
-        return ()
     if isinstance(value, (int, float, str)):
         value = [value]
     if not isinstance(value, (list, tuple)) or not value:
@@ -127,23 +125,45 @@ def _as_float(value, name: str) -> float:
     return number
 
 
-def _as_int(raw: dict, name: str, default=None) -> int | None:
-    """An integer key: an int or an integral float, or None when absent
-    without a default. Bools, fractions and other types are rejected."""
-    value = raw.get(name, default)
-    if value is None:
-        return None
+def _as_int(value, name: str) -> int:
+    """An int or an integral float. Bools, fractions and other types are
+    rejected."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
         raise SpecError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
+def _as_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise SpecError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _as_given(value, name: str):
+    """mode and staleness_mode: checked against their choices in parse_spec."""
+    return value
+
+
+# The reader of each config key's value. A key with no value (YAML null) is
+# rejected like any other wrong type; an absent key takes ExperimentSpec's
+# default.
+_READERS = {
+    "mode": _as_given, "n": _as_int, "channels": _as_int,
+    "nodes_per_channel": _as_int, "alpha": _as_grid, "gamma": _as_grid,
+    "epsilon": _as_grid, "trials": _as_int, "seed_base": _as_int,
+    "out": _as_str, "max_rounds": _as_int, "loss_probability": _as_float,
+    "staleness_mode": _as_given, "workers": _as_int,
+}
+
+
 def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
-    """Parse and validate a YAML experiment config; defaults are applied so
-    the returned spec is fully explicit. Unknown keys are rejected.
-    `overrides` replace config keys before validation, so they pass the
-    same checks as the file's own values."""
+    """Parse and validate a YAML experiment config. Each key the config gives
+    is read by its reader, the others take ExperimentSpec's defaults, and
+    the mode-dependent defaults are applied, so the returned spec is fully
+    explicit. Unknown keys are rejected. `overrides` replace config keys
+    before validation, so they pass the same checks as the file's own
+    values."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -156,32 +176,28 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     unknown = set(raw) - set(_SPEC_KEYS)
     if unknown:
         raise SpecError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    raw = {_SPEC_KEYS[key]: value for key, value in raw.items()}
-
     mode = raw.get("mode")
     if mode not in MODES:
         raise SpecError(f"mode must be one of {MODES}, got {mode!r}")
 
-    paired = mode in ("fast-desync", "fast-much")
-    alphas = _as_grid(raw.get("alphas"), "alpha") or (
-        DEFAULT_ALPHAS_PAIRED if paired else DEFAULT_ALPHAS
-    )
-    gammas = _as_grid(raw.get("gammas"), "gamma") or DEFAULT_GAMMAS
-    epsilons = _as_grid(raw.get("epsilons"), "epsilon") or DEFAULT_EPSILONS
+    spec = ExperimentSpec(**{_SPEC_KEYS[key]: _READERS[key](value, key)
+                             for key, value in raw.items()})
+    if not spec.alphas:
+        paired = mode in ("fast-desync", "fast-much")
+        spec = replace(spec, alphas=DEFAULT_ALPHAS_PAIRED if paired else DEFAULT_ALPHAS)
+    if mode == "event-sim" and spec.channels is None:
+        spec = replace(spec, channels=1)
 
-    for a in alphas:
+    for a in spec.alphas:
         if not 0.0 < a < 1.0:
             raise SpecError(f"alpha out of (0,1): {a}")
-    for g in gammas:
+    for g in spec.gammas:
         if not 0.0 < g < 1.0:
             raise SpecError(f"gamma out of (0,1): {g}")
-    for e in epsilons:
+    for e in spec.epsilons:
         if e <= 0.0:
             raise SpecError(f"epsilon must be > 0: {e}")
-
-    n = _as_int(raw, "n")
-    channels = _as_int(raw, "channels")
-    npc = _as_int(raw, "nodes_per_channel")
+    n, channels, npc = spec.n, spec.channels, spec.nodes_per_channel
     if mode in ("desync", "fast-desync"):
         if n is None or n < 2:
             raise SpecError(f"mode {mode} needs n >= 2")
@@ -190,57 +206,26 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
             raise SpecError(f"mode {mode} needs channels and nodes_per_channel")
         if channels < 2 or npc < 2:
             raise SpecError("need channels >= 2 and nodes_per_channel >= 2")
-        for a in alphas:
-            if not 0.0 < a / 2.0 < 0.5:
-                raise SpecError(f"beta = alpha/2 out of (0, 1/2): alpha={a}")
     else:  # event-sim
         if n is None or n < 1:
             raise SpecError("mode event-sim needs n >= 1")
-        if channels is None:
-            channels = 1
         if channels < 1:
             raise SpecError(f"mode event-sim needs channels >= 1, got {channels}")
-
-    trials = _as_int(raw, "trials", DEFAULT_TRIALS)
-    if trials < 1:
-        raise SpecError(f"trials must be >= 1, got {trials}")
-    seed_base = _as_int(raw, "seed_base", 0)
-    if seed_base < 0 or seed_base + trials > 2**64:
+    if spec.trials < 1:
+        raise SpecError(f"trials must be >= 1, got {spec.trials}")
+    if spec.seed_base < 0 or spec.seed_base + spec.trials > 2**64:
         raise SpecError(
-            f"seed_base must be >= 0 with seed_base + trials <= 2**64, got {seed_base}"
+            f"seed_base must be >= 0 with seed_base + trials <= 2**64, got {spec.seed_base}"
         )
-    workers = _as_int(raw, "workers", 1)
-    if workers < 1:
-        raise SpecError(f"workers must be >= 1, got {workers}")
-    loss = _as_float(raw.get("loss_probability", 0.0), "loss_probability")
-    if not 0.0 <= loss < 1.0:
-        raise SpecError(f"loss_probability out of [0,1): {loss}")
-    staleness = raw.get("staleness_mode", "live")
-    if staleness not in ("live", "assumption1"):
-        raise SpecError(f"unknown staleness_mode: {staleness!r}")
-    max_rounds = _as_int(raw, "max_rounds")
-    if max_rounds is not None and max_rounds < 1:
+    if spec.workers < 1:
+        raise SpecError(f"workers must be >= 1, got {spec.workers}")
+    if not 0.0 <= spec.loss_probability < 1.0:
+        raise SpecError(f"loss_probability out of [0,1): {spec.loss_probability}")
+    if spec.staleness_mode not in ("live", "assumption1"):
+        raise SpecError(f"unknown staleness_mode: {spec.staleness_mode!r}")
+    if spec.max_rounds is not None and spec.max_rounds < 1:
         raise SpecError("max_rounds must be >= 1")
-    out_dir = raw.get("out_dir", "results")
-    if not isinstance(out_dir, str):
-        raise SpecError(f"out must be a string, got {out_dir!r}")
-
-    return ExperimentSpec(
-        mode=mode,
-        n=n,
-        channels=channels,
-        nodes_per_channel=npc,
-        alphas=alphas,
-        gammas=gammas,
-        epsilons=epsilons,
-        trials=trials,
-        seed_base=seed_base,
-        out_dir=out_dir,
-        max_rounds=max_rounds,
-        loss_probability=loss,
-        staleness_mode=staleness,
-        workers=workers,
-    )
+    return spec
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from desynclab.cli import main
-from desynclab.experiments import EXIT_OK, EXIT_VALIDATION
+from desynclab.experiments import EXIT_OK, EXIT_TRIAL_FAILURE, EXIT_VALIDATION
 
 
 def write(tmp_path, name, text):
@@ -58,6 +58,34 @@ def test_null_out_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--config", cfg]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: out must be a string")
     assert not (tmp_path / "None").exists()
+
+
+def test_null_trials_exit_code(tmp_path, capsys):
+    cfg = write(tmp_path, "null.yaml", "mode: desync\nn: 4\nalpha: [0.5]\ntrials:\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: trials must be an integer, got None")
+
+
+@pytest.mark.parametrize("out", ["''", "taken"])
+def test_unusable_out_exits_before_the_run(tmp_path, monkeypatch, capsys, out):
+    (tmp_path / "taken").write_text("")
+    monkeypatch.chdir(tmp_path)
+
+    def no_run(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("desynclab.cli.run_sweep", no_run)
+    cfg = write(tmp_path, "out.yaml", f"mode: desync\nn: 4\nalpha: [0.5]\ntrials: 2\nout: {out}\n")
+    assert main(["sweep", "--config", cfg]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: out ")
+
+
+def test_trial_failure_exit_code(tmp_path, capsys):
+    # one round cannot reach epsilon 1e-12, so every trial is capped
+    cfg = write(tmp_path, "capped.yaml", "mode: desync\nn: 4\nalpha: [0.5]\n"
+                "epsilon: [1.0e-12]\ntrials: 2\nmax_rounds: 1\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_TRIAL_FAILURE
+    assert "trial failure(s) recorded" in capsys.readouterr().err
 
 
 def test_seed_base_out_of_range_exit_code(tmp_path, capsys):

@@ -25,7 +25,9 @@ from desynclab import (
 )
 from desynclab.eventsim import trace_to_csv
 from desynclab.experiments import (
+    DEFAULT_ALPHAS,
     ExperimentSpec,
+    _SPEC_KEYS,
     write_bounds_csv,
     write_spectra_csv,
     write_sweep_csv,
@@ -142,6 +144,31 @@ def test_parse_rejects_eventsim_channels_below_one(channels):
     with pytest.raises(SpecError, match="channels >= 1"):
         parse_spec(f"mode: event-sim\nn: 4\nchannels: {channels}\n")
     assert parse_spec("mode: event-sim\nn: 4\n").channels == 1
+
+
+def test_parse_requires_mode():
+    # mode has no default, so it is checked before the spec is built
+    for text in ("n: 4\n", ""):
+        with pytest.raises(SpecError, match="mode must be one of"):
+            parse_spec(text)
+
+
+@pytest.mark.parametrize("key", sorted(_SPEC_KEYS))
+def test_parse_rejects_keys_with_no_value(key):
+    # a key written with no value is YAML null, a wrong type like any other
+    text = "".join(line for line in MINIMAL.splitlines(keepends=True)
+                   if not line.startswith(f"{key}:"))
+    match = {"mode": "mode must be one of",
+             "staleness_mode": "unknown staleness_mode: None"}.get(key, f"^{key} must be")
+    with pytest.raises(SpecError, match=match):
+        parse_spec(f"{text}{key}:\n")
+
+
+def test_absent_keys_take_the_spec_defaults():
+    assert parse_spec("mode: desync\nn: 4\n") == ExperimentSpec(
+        mode="desync", n=4, alphas=DEFAULT_ALPHAS)
+    assert parse_spec("mode: event-sim\nn: 4\n") == ExperimentSpec(
+        mode="event-sim", n=4, channels=1, alphas=DEFAULT_ALPHAS)
 
 
 def test_uniform_rows_rejects_seed_base_out_of_range():
