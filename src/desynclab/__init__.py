@@ -11,15 +11,10 @@ from .problems import (
     alpha_to_beta,
     as_phase_vector,
     beta_to_alpha,
-    difference_matrix,
-    ring_laplacian,
-    wrap_bias,
 )
 from .objectives import (
-    desync_gradient,
     desync_objective,
     gap_residual,
-    multichannel_gradient_channel,
     multichannel_objective,
 )
 from .bounds import (
@@ -35,7 +30,6 @@ from .spectral import (
     desync_block_eigenvalues,
     momentum_onset,
     spectral_report,
-    sync_selector,
 )
 from .rounds import (
     ConvergenceReport,

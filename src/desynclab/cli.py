@@ -89,6 +89,10 @@ def _cmd_simulate(args) -> int:
     spec = _load_spec(args)
     if spec.mode != "event-sim":
         raise SpecError("simulate needs mode event-sim")
+    grids = {"alpha": spec.alphas, "gamma": spec.gammas, "epsilon": spec.epsilons}
+    for key, grid in grids.items():
+        if len(grid) > 1:
+            raise SpecError(f"simulate runs one point: {key} has {len(grid)} values")
     cfg = _sim_config(spec, spec.alphas[0], spec.gammas[0], spec.epsilons[0], spec.seed_base)
     result = run_simulation(cfg)
     trace_path = os.path.join(spec.out_dir, "trace.csv")
@@ -105,6 +109,10 @@ def _cmd_simulate(args) -> int:
                 "available_tx_time_s": result.available_tx_time,
                 "order_change_rounds": result.order_change_rounds,
                 "steady_round": result.steady_round,
+                "alpha": cfg.alpha,
+                "gamma": cfg.gamma,
+                "epsilon": cfg.epsilon,
+                "rng_seed": cfg.rng_seed,
             },
             fh,
             indent=2,

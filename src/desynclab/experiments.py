@@ -157,13 +157,26 @@ _READERS = {
 }
 
 
+# The config keys that only some modes read, and those modes; every other
+# key is read by every mode. A config may give only keys its mode reads.
+_MODE_KEYS = {
+    "n": ("desync", "fast-desync", "event-sim"),
+    "channels": ("much", "fast-much", "event-sim"),
+    "nodes_per_channel": ("much", "fast-much"),
+    "gamma": ("much", "fast-much", "event-sim"),
+    "loss_probability": ("event-sim",),
+    "staleness_mode": ("event-sim",),
+}
+
+
 def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     """Parse and validate a YAML experiment config. Each key the config gives
     is read by its reader, the others take ExperimentSpec's defaults, and
     the mode-dependent defaults are applied, so the returned spec is fully
     explicit. Unknown keys are rejected. `overrides` replace config keys
     before validation, so they pass the same checks as the file's own
-    values."""
+    values. A key the mode does not read (`_MODE_KEYS`) is rejected after
+    every other check."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -225,14 +238,18 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
         raise SpecError(f"unknown staleness_mode: {spec.staleness_mode!r}")
     if spec.max_rounds is not None and spec.max_rounds < 1:
         raise SpecError("max_rounds must be >= 1")
+    unread = sorted(key for key in raw if mode not in _MODE_KEYS.get(key, MODES))
+    if unread:
+        raise SpecError(f"mode {mode} does not read {', '.join(unread)}")
     return spec
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:
-    """The spec as a YAML config; keys whose value is None are left out."""
-    values = spec.to_dict()
+    """The spec as a YAML config: its mode, and every value that differs
+    from ExperimentSpec(mode)'s default."""
+    values, defaults = spec.to_dict(), ExperimentSpec(spec.mode).to_dict()
     doc = {key: values[name] for key, name in _SPEC_KEYS.items()
-           if values[name] is not None}
+           if key == "mode" or values[name] != defaults[name]}
     return yaml.safe_dump(doc, sort_keys=True)
 
 

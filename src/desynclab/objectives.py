@@ -1,10 +1,11 @@
-"""Objective functions and gradients for the desynchronization problems.
+"""Objective functions of the desynchronization problems.
 
 The single-channel objective measures half the squared deviation of every
 consecutive phase gap (including the wrap-around gap) from the ideal 1/n.
 The multichannel objective sums that per channel and adds a consensus
 penalty on the first node of each channel against the next channel's first
-node, cyclically.
+node, cyclically. Their gradients, which the rounds apply in closed form,
+are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .problems import (
     SingleChannelProblem,
     as_channel_vectors,
     as_phase_vector,
-    wrap_bias,
 )
 
 
@@ -55,17 +55,6 @@ def desync_objective(phi, problem: SingleChannelProblem) -> float:
     return _objective_sum([gap_residual(as_phase_vector(phi, problem.n))])
 
 
-def desync_gradient(phi, problem: SingleChannelProblem) -> np.ndarray:
-    """Gradient of the single-channel objective: Laplacian term plus wrap bias.
-
-    Independent of the 1/n target term, which lies in the difference
-    matrix's left null space.
-    """
-    phi = as_phase_vector(phi, problem.n)
-    lap = 2.0 * phi - np.roll(phi, 1) - np.roll(phi, -1)
-    return lap + wrap_bias(problem.n)
-
-
 def _first_node_values(phis: list[np.ndarray]) -> np.ndarray:
     return np.array([p[0] for p in phis])
 
@@ -75,21 +64,3 @@ def multichannel_objective(phis: Sequence, problem: MultichannelProblem) -> floa
     phis = as_channel_vectors(phis, problem)
     first = _first_node_values(phis)
     return _objective_sum([gap_residual(p) for p in phis], np.roll(first, -1) - first)
-
-
-def multichannel_gradient_channel(
-    c: int, phis: Sequence, problem: MultichannelProblem
-) -> np.ndarray:
-    """Gradient of the multichannel objective with respect to channel c's block."""
-    phis = as_channel_vectors(phis, problem)
-    C = problem.num_channels
-    if not 0 <= c < C:
-        raise ValueError(f"channel index {c} out of range [0, {C})")
-    p = phis[c]
-    n = p.size
-    lap = 2.0 * p - np.roll(p, 1) - np.roll(p, -1)
-    grad = lap + wrap_bias(n)
-    first = _first_node_values(phis)
-    coupling = 2.0 * first[c] - first[(c - 1) % C] - first[(c + 1) % C]
-    grad[0] += coupling
-    return grad

@@ -1,4 +1,4 @@
-"""Problem instances and the fixed matrices/vectors they carry.
+"""Problem instances, their parameter conversions and input validation.
 
 The single-channel problem is a least-squares fit of consecutive phase gaps
 to 1/n on a ring; the multichannel problem adds a consensus penalty tying
@@ -41,28 +41,6 @@ def as_phase_vector(values, n: int | None = None) -> np.ndarray:
     return phi
 
 
-def difference_matrix(n: int) -> np.ndarray:
-    """Cyclic forward-difference matrix: (D @ phi)[i] = phi[i+1] - phi[i], wrapping."""
-    D = -np.eye(n)
-    D += np.eye(n, k=1)
-    D[n - 1, 0] = 1.0
-    return D
-
-
-def wrap_bias(n: int) -> np.ndarray:
-    """Constant gradient term (1, 0, ..., 0, -1) from the ring's wrap-around gap."""
-    d = np.zeros(n)
-    d[0] = 1.0
-    d[-1] = -1.0
-    return d
-
-
-def ring_laplacian(n: int) -> np.ndarray:
-    """D^T D: the Laplacian of the n-cycle."""
-    D = difference_matrix(n)
-    return D.T @ D
-
-
 @dataclass(frozen=True)
 class SingleChannelProblem:
     """Single-channel instance: n nodes, jump parameter alpha, threshold epsilon."""
@@ -82,11 +60,6 @@ class SingleChannelProblem:
     @property
     def beta(self) -> float:
         return alpha_to_beta(self.alpha)
-
-    @property
-    def target_gap(self) -> float:
-        """Ideal spacing between consecutive offsets (1/n)."""
-        return 1.0 / self.n
 
     def reference_solution(self) -> np.ndarray:
         """The equispaced representative (0, 1/n, ..., (n-1)/n) of the solution set."""

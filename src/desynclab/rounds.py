@@ -21,7 +21,6 @@ from .problems import (
     SingleChannelProblem,
     as_channel_vectors,
     as_phase_vector,
-    wrap_bias,
 )
 from .spectral import momentum_onset
 
@@ -100,15 +99,14 @@ class ConvergenceReport:
 def desync_map(
     phi: np.ndarray,
     alpha: float,
-    d: np.ndarray,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
     """One synchronous Desync round along the last axis,
     (1-alpha) phi + (alpha/2) (roll(phi, 1) + roll(phi, -1) - d): midpoint
     pull toward both phase neighbours, with the wrap-around +-1 corrections
-    carried by d. Multichannel rounds use it with alpha = 2*beta on every
-    channel.
+    carried by the ring's wrap bias d = (1, 0, ..., 0, -1), which is fixed.
+    Multichannel rounds use it with alpha = 2*beta on every channel.
 
     `out` receives the result and `work` is scratch, both shaped like phi
     and neither aliasing it; each is allocated when not given, `work` also
@@ -117,8 +115,9 @@ def desync_map(
     it is wrong only in the end columns, which are then computed on their
     own. Every addition is the roll form's, in the same order, so results
     are bit-identical to it and do not depend on whether buffers are
-    passed. d is the wrap bias, zero except at its ends, so only its end
-    columns are subtracted (x - 0.0 is x)."""
+    passed. d is zero except at its ends, so only its end columns are
+    subtracted (x - 0.0 is x); at n = 1 the one column is both ends and d
+    is (-1,)."""
     n = phi.shape[-1]
     if out is None:
         out = np.empty(phi.shape)
@@ -129,9 +128,9 @@ def desync_map(
     np.add(flat[:-2], flat[2:], out=work.reshape(-1)[1:-1])
     np.add(phi[..., -1], phi[..., 1 % n], out=first)
     np.add(phi[..., (n - 2) % n], phi[..., 0], out=last)
-    np.subtract(first, d[0], out=first)
     if n > 1:
-        np.subtract(last, d[-1], out=last)
+        np.subtract(first, 1.0, out=first)
+    np.subtract(last, -1.0, out=last)
     np.multiply(work, alpha / 2.0, out=work)
     np.multiply(phi, 1.0 - alpha, out=out)
     return np.add(out, work, out=out)
@@ -174,7 +173,7 @@ def _joint_round(phis: list, mus: list | None, k: int, alpha: float,
     nodes. With momentum, the new momentum vectors extrapolate by
     (k-1)/(k+2) and mirror phi at the consensus row, which carries none."""
     sources = phis if mus is None else mus
-    phi_new = [desync_map(src, alpha, wrap_bias(src.size)) for src in sources]
+    phi_new = [desync_map(src, alpha) for src in sources]
     if gamma is not None:
         first = sync_map(np.array([p[0] for p in phis]), gamma)
         for c, nxt in enumerate(phi_new):

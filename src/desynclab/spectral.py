@@ -57,14 +57,6 @@ def build_iteration_matrix(problem: MultichannelProblem) -> tuple[np.ndarray, np
     return M, b
 
 
-def sync_selector(problem: MultichannelProblem) -> np.ndarray:
-    """Indicator of the first node of every channel; a left eigenvector of M
-    for the eigenvalue 1."""
-    u = np.zeros(problem.total_nodes)
-    u[problem.offsets()] = 1.0
-    return u
-
-
 def desync_block_eigenvalues(n: int, beta: float) -> np.ndarray:
     """Analytic spectrum of the (n-1)x(n-1) tridiagonal Toeplitz Desync block:
     1 - 2 beta + 2 beta cos(pi j / n), j = 1..n-1."""

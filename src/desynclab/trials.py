@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import gap_residual
-from .problems import MultichannelProblem, SingleChannelProblem, beta_to_alpha, wrap_bias
+from .problems import MultichannelProblem, SingleChannelProblem, beta_to_alpha
 from .rounds import desync_map, diverging, momentum_coefficient, sync_map
 from .spectral import momentum_onset
 
@@ -259,7 +259,6 @@ def _run_batch(
     """
     objective = batch_gap_objective if gamma is None else batch_multichannel_objective
     m, n = phi0.shape[0], phi0.shape[-1]
-    d = wrap_bias(n)
     onset = None
     if fast:
         onset = momentum_onset(
@@ -281,7 +280,7 @@ def _run_batch(
         for k in range(1, max_rounds + 1):
             if live.size == 0:
                 break
-            desync_map(mu, alpha, d, out=nxt, work=work)
+            desync_map(mu, alpha, out=nxt, work=work)
             if gamma is not None:
                 sync_map(phi[..., 0], gamma, out=nxt[..., 0], work=sync_work)
             if fast:

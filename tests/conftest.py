@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from desynclab import build_iteration_matrix, sync_selector
+from desynclab import build_iteration_matrix
+
+from oracles import sync_selector
 
 
 def _dense_spectrum(problem):

@@ -35,7 +35,6 @@ from desynclab import (
     run_until_convergence,
     spectral_report,
     sync_desync_round,
-    sync_selector,
 )
 from desynclab.experiments import DEFAULT_ALPHAS, DEFAULT_ALPHAS_PAIRED
 from desynclab.spectral import _match_spectra
@@ -46,6 +45,8 @@ from desynclab.trials import (
     run_fast_desync_batch,
     run_sync_desync_batch,
 )
+
+from oracles import sync_selector
 
 TRIALS = 400
 SEED_BASE = 0

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from desynclab import experiments as ex
 from desynclab import trials as trials_module
 from desynclab.objectives import gap_residual
-from desynclab.problems import wrap_bias
 from desynclab.rounds import desync_map, sync_map
 from desynclab.trials import (
     _seed_words,
@@ -28,6 +27,7 @@ from desynclab.trials import (
     run_sync_desync_batch,
     sample_initial_phases,
 )
+from oracles import wrap_bias
 from test_batch_outcomes import multichannel, single_channel
 from test_experiments import rows_equal, small_spec
 
@@ -163,9 +163,9 @@ def test_buffered_desync_map_equals_roll_form(shape):
     rolled = (1.0 - alpha) * phi + (alpha / 2.0) * (
         np.roll(phi, 1, axis=-1) + np.roll(phi, -1, axis=-1) - d
     )
-    allocating = desync_map(phi, alpha, d)
+    allocating = desync_map(phi, alpha)
     out, work = np.full(shape, np.nan), np.full(shape, np.nan)
-    buffered = desync_map(phi, alpha, d, out=out, work=work)
+    buffered = desync_map(phi, alpha, out=out, work=work)
     assert buffered is out
     assert np.array_equal(allocating, rolled)
     assert np.array_equal(buffered, rolled)
@@ -191,8 +191,8 @@ def test_flat_passes_on_strided_arrays():
         np.roll(phi, 1, axis=-1) + np.roll(phi, -1, axis=-1) - d
     )
     out, work = np.full((6, 16), np.nan), np.full((16, 6), np.nan).T
-    assert np.array_equal(desync_map(phi, alpha, d, out=out, work=work), rolled)
-    assert np.array_equal(desync_map(phi.copy(), alpha, d, work=work), rolled)
+    assert np.array_equal(desync_map(phi, alpha, out=out, work=work), rolled)
+    assert np.array_equal(desync_map(phi.copy(), alpha, work=work), rolled)
     residual = np.roll(phi, -1, axis=-1) - phi
     residual[..., -1] += 1.0
     residual -= 1.0 / 16

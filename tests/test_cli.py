@@ -177,6 +177,39 @@ def test_simulate_command(tmp_path):
     assert report["steady_round"] == report["rounds"]
 
 
+def test_simulate_records_its_point(tmp_path):
+    cfg = write(
+        tmp_path, "sim.yaml",
+        "mode: event-sim\nn: 4\nchannels: 2\nalpha: 0.5\ngamma: [0.3]\n"
+        "epsilon: 1.0e-3\nseed_base: 3\n",
+    )
+    out = tmp_path / "out"
+    main(["simulate", "--config", cfg, "--out", str(out), "--seed", "5"])
+    report = json.loads((out / "simulation.json").read_text())
+    point = {key: report[key] for key in ("alpha", "gamma", "epsilon", "rng_seed")}
+    assert point == {"alpha": 0.5, "gamma": 0.3, "epsilon": 1e-3, "rng_seed": 5}
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("spectra", "mode: desync\nn: 4\n", "spectra certification needs mode much or fast-much"),
+    # the mode is checked before the grids, and desync's alpha grid has 19 values
+    ("simulate", "mode: desync\nn: 4\n", "simulate needs mode event-sim"),
+    ("simulate", "mode: event-sim\nn: 4\n", "simulate runs one point: alpha has 19 values"),
+    ("simulate", "mode: event-sim\nn: 4\nalpha: 0.5\ngamma: [0.3, 0.6]\nepsilon: 1.0e-3\n",
+     "simulate runs one point: gamma has 2 values"),
+    ("simulate", "mode: event-sim\nn: 4\nalpha: 0.5\n",
+     "simulate runs one point: epsilon has 2 values"),
+    ("sweep", "mode: desync\nn: 8\ngamma: [0.6]\n", "mode desync does not read gamma"),
+], ids=["spectra-desync", "simulate-desync", "simulate-alpha-grid", "simulate-gamma-grid",
+        "simulate-epsilon-grid", "sweep-unread-key"])
+def test_command_rejects_config(tmp_path, capsys, command, body, message):
+    cfg = write(tmp_path, "bad.yaml", body)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(out.glob("*"))
+
+
 def test_plotdata_command(tmp_path):
     cfg = write(
         tmp_path, "sweep.yaml",

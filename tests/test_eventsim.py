@@ -67,6 +67,29 @@ def test_empty_network_errors():
         sim.advance_to_next_fire()
 
 
+@pytest.mark.parametrize("kw, match", [
+    (dict(n=0), r"^n must be >= 1, got 0$"),
+    (dict(channels=0), r"^channels must be >= 1, got 0$"),
+    (dict(period=0.0), r"^period must be > 0, got 0\.0$"),
+    (dict(alpha=1.0), r"^alpha out of \(0,1\): 1\.0$"),
+    (dict(gamma=0.0), r"^gamma out of \(0,1\): 0\.0$"),
+    (dict(loss_probability=1.0), r"^loss_probability out of \[0,1\): 1\.0$"),
+    (dict(epsilon=0.0), r"^epsilon must be > 0, got 0\.0$"),
+    (dict(staleness_mode="stale"), r"^unknown staleness_mode: 'stale'$"),
+    (dict(adjacency=np.ones((3, 3))), r"^adjacency must be \(4,4\), got \(3, 3\)$"),
+    (dict(initial_phases=np.zeros(3)), r"^initial_phases must have shape \(4,\)$"),
+    (dict(channels=2, initial_channels=np.array([0, 1, 2, 0])),
+     "^initial_channels out of range$"),
+    (dict(channels=2, initial_channels=np.array([0, -1, 1, 0])),
+     "^initial_channels out of range$"),
+], ids=["n", "channels", "period", "alpha", "gamma", "loss", "epsilon",
+        "staleness", "adjacency", "initial-phases", "channel-too-high",
+        "channel-negative"])
+def test_config_validation_messages(kw, match):
+    with pytest.raises(ValueError, match=match):
+        Simulation(single_channel_config(**kw))
+
+
 def test_next_fire_is_a_read_only_snapshot():
     # a write would bypass the fire queue and leave the node never firing
     sim = Simulation(SimConfig(n=6, rng_seed=1))

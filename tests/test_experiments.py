@@ -164,6 +164,77 @@ def test_parse_rejects_keys_with_no_value(key):
         parse_spec(f"{text}{key}:\n")
 
 
+# a valid config of each mode, and a valid value of each key some mode reads
+BASE_CONFIGS = {
+    "desync": "mode: desync\nn: 4\n",
+    "fast-desync": "mode: fast-desync\nn: 4\n",
+    "much": "mode: much\nchannels: 2\nnodes_per_channel: 3\n",
+    "fast-much": "mode: fast-much\nchannels: 2\nnodes_per_channel: 3\n",
+    "event-sim": "mode: event-sim\nn: 4\n",
+}
+MODE_KEY_VALUES = {
+    "n": "4", "channels": "3", "nodes_per_channel": "4", "gamma": "[0.3]",
+    "loss_probability": "0.5", "staleness_mode": "assumption1",
+}
+UNREAD_KEYS = [
+    *[(mode, key) for mode in ("desync", "fast-desync")
+      for key in ("channels", "nodes_per_channel", "gamma", "loss_probability",
+                  "staleness_mode")],
+    *[(mode, key) for mode in ("much", "fast-much")
+      for key in ("n", "loss_probability", "staleness_mode")],
+    ("event-sim", "nodes_per_channel"),
+]
+
+
+@pytest.mark.parametrize("mode, key", UNREAD_KEYS)
+def test_parse_rejects_keys_the_mode_does_not_read(mode, key):
+    text = BASE_CONFIGS[mode] + f"{key}: {MODE_KEY_VALUES[key]}\n"
+    with pytest.raises(SpecError, match=f"^mode {mode} does not read {key}$"):
+        parse_spec(text)
+
+
+def test_parse_accepts_every_key_its_mode_reads():
+    unread = set(UNREAD_KEYS)
+    for mode, base in BASE_CONFIGS.items():
+        given = {line.split(":")[0] for line in base.splitlines()}
+        extra = "".join(f"{key}: {value}\n" for key, value in MODE_KEY_VALUES.items()
+                        if key not in given and (mode, key) not in unread)
+        parse_spec(base + extra)
+    with pytest.raises(SpecError, match="^mode desync does not read channels, gamma$"):
+        parse_spec("mode: desync\nn: 4\ngamma: [0.3]\nchannels: 3\n")
+
+
+def test_serialize_spec_writes_only_values_off_the_defaults():
+    spec = parse_spec("mode: desync\nn: 4\nalpha: [0.5]\n")
+    assert serialize_spec(spec) == "alpha:\n- 0.5\nmode: desync\nn: 4\n"
+    sim = parse_spec("mode: event-sim\nn: 4\nalpha: [0.5]\nseed_base: 0\n")
+    assert serialize_spec(sim) == "alpha:\n- 0.5\nchannels: 1\nmode: event-sim\nn: 4\n"
+
+
+@pytest.mark.parametrize("call, text, match", [
+    (parse_spec, "mode: [desync\n", "^malformed config: "),
+    (parse_spec, "- mode\n- desync\n", "^config must be a mapping$"),
+    (parse_spec, "mode: desync\nn: 4\nepsilon: [1.0e-3, 0]\n", r"^epsilon must be > 0: 0\.0$"),
+    (parse_spec, "mode: much\nchannels: 1\nnodes_per_channel: 3\n",
+     "^need channels >= 2 and nodes_per_channel >= 2$"),
+    (parse_spec, "mode: fast-much\nchannels: 3\nnodes_per_channel: 1\n",
+     "^need channels >= 2 and nodes_per_channel >= 2$"),
+    (parse_spec, "mode: event-sim\nn: 0\n", "^mode event-sim needs n >= 1$"),
+    (parse_spec, "mode: event-sim\nn: 4\nloss_probability: 1.0\n",
+     r"^loss_probability out of \[0,1\): 1\.0$"),
+    (parse_spec, "mode: event-sim\nn: 4\nloss_probability: -0.1\n",
+     r"^loss_probability out of \[0,1\): -0\.1$"),
+    (parse_spec, MINIMAL + "max_rounds: 0\n", "^max_rounds must be >= 1$"),
+    (lambda text: compare_bounds(parse_spec(text)), BASE_CONFIGS["much"],
+     "^bound comparison needs a single-channel mode$"),
+], ids=["malformed", "not-a-mapping", "epsilon-zero", "much-channels-1",
+        "much-nodes-1", "eventsim-n-0", "loss-1", "loss-negative", "max-rounds-0",
+        "bounds-on-much"])
+def test_spec_validation_messages(call, text, match):
+    with pytest.raises(SpecError, match=match):
+        call(text)
+
+
 def test_absent_keys_take_the_spec_defaults():
     assert parse_spec("mode: desync\nn: 4\n") == ExperimentSpec(
         mode="desync", n=4, alphas=DEFAULT_ALPHAS)

@@ -7,10 +7,10 @@ from desynclab import (
     alpha_to_beta,
     as_phase_vector,
     beta_to_alpha,
-    difference_matrix,
-    ring_laplacian,
-    wrap_bias,
 )
+from desynclab.problems import as_channel_vectors
+
+from oracles import difference_matrix, ring_laplacian, wrap_bias
 
 
 def test_phase_vector_validation():
@@ -90,10 +90,16 @@ def test_alpha_beta_conversions():
 def test_problem_accessors():
     p = SingleChannelProblem(n=4, alpha=0.5, epsilon=1e-4)
     assert p.beta == 0.25
-    assert p.target_gap == 0.25
     assert np.array_equal(p.reference_solution(), np.array([0.0, 0.25, 0.5, 0.75]))
     mp = MultichannelProblem((2, 3, 4), 0.2, 0.6)
     assert mp.num_channels == 3
     assert mp.total_nodes == 9
     assert np.array_equal(mp.offsets(), np.array([0, 2, 5]))
     assert mp.alpha == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_channel_vectors_need_one_vector_per_channel(count):
+    mp = MultichannelProblem.uniform(2, 3, 0.2, 0.6)
+    with pytest.raises(ValueError, match=f"^expected 2 channel vectors, got {count}$"):
+        as_channel_vectors([np.arange(3) / 3] * count, mp)

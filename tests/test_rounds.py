@@ -15,8 +15,9 @@ from desynclab import (
     multichannel_objective,
     run_until_convergence,
     sync_desync_round,
-    sync_selector,
 )
+
+from oracles import sync_selector
 
 
 def explicit_round_matrix(n, alpha):
@@ -256,6 +257,22 @@ def test_run_until_convergence_aborts_on_nonfinite():
 
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
         run_until_convergence(st, p, round_op=bad_round, max_rounds=10)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda p: DesyncState(np.array([0.0, 0.5, 0.6, 0.7]), k=-1),
+     ValueError, "^iteration counter must be >= 0$"),
+    (lambda p: run_until_convergence(DesyncState(np.array([0.0, 0.5, 0.6, 0.7])), p,
+                                     max_rounds=0),
+     ValueError, "^max_rounds must be >= 1, got 0$"),
+    # finite offsets whose gaps square past the float range
+    (lambda p: run_until_convergence(DesyncState(np.array([0.0, 1e200, 2e200, 3e200])), p),
+     FloatingPointError, "^non-finite objective on the initial state$"),
+], ids=["negative-k", "max-rounds-0", "nonfinite-start"])
+def test_round_engine_validation_messages(call, error, match):
+    p = SingleChannelProblem(4, 0.5, 1e-3)
+    with np.errstate(over="ignore"), pytest.raises(error, match=match):
+        call(p)
 
 
 def test_multichannel_limit_matches_direct_linear_solve():

@@ -16,9 +16,10 @@ from desynclab import (
     desync_block_eigenvalues,
     spectral_report,
     sync_desync_round,
-    sync_selector,
 )
 from desynclab.spectral import _match_spectra
+
+from oracles import sync_selector
 
 
 def test_small_matrix_by_unit_basis_oracle():
