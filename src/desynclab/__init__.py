@@ -52,7 +52,6 @@ from .eventsim import (
     TraceRecord,
     elect_sync_node,
     run_simulation,
-    trace_to_csv,
 )
 from .experiments import (
     ExperimentSpec,
@@ -66,6 +65,7 @@ from .experiments import (
     parse_spec,
     run_sweep,
     serialize_spec,
+    trace_to_csv,
 )
 
 __version__ = "0.1.0"

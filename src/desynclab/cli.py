@@ -7,11 +7,10 @@ Exit codes: 0 success, 2 validation error, 3 bound violation, 4 trial failure(s)
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .eventsim import run_simulation, trace_to_csv
+from .eventsim import run_simulation
 from .experiments import (
     EXIT_BOUND_VIOLATION,
     EXIT_OK,
@@ -24,7 +23,9 @@ from .experiments import (
     load_summary,
     parse_spec,
     run_sweep,
+    trace_to_csv,
     write_bounds_csv,
+    write_simulation_json,
     write_spectra_csv,
     write_sweep_csv,
     certify_spectra,
@@ -98,26 +99,7 @@ def _cmd_simulate(args) -> int:
     trace_path = os.path.join(spec.out_dir, "trace.csv")
     trace_to_csv(result.trace, trace_path, cfg.channels)
     report_path = os.path.join(spec.out_dir, "simulation.json")
-    with open(report_path, "w") as fh:
-        json.dump(
-            {
-                "rounds": result.report.rounds,
-                "converged": result.report.converged,
-                "final_objective": result.report.final_objective,
-                "time_to_convergence_s": result.time_to_convergence,
-                "occupancy": result.occupancy,
-                "available_tx_time_s": result.available_tx_time,
-                "order_change_rounds": result.order_change_rounds,
-                "steady_round": result.steady_round,
-                "alpha": cfg.alpha,
-                "gamma": cfg.gamma,
-                "epsilon": cfg.epsilon,
-                "rng_seed": cfg.rng_seed,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_simulation_json(result, cfg, report_path)
     print(f"wrote {trace_path} and {report_path}")
     return EXIT_OK if result.report.converged else EXIT_TRIAL_FAILURE
 

@@ -42,16 +42,14 @@ it. Guard times are bookkeeping only; they never touch the phase math.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .objectives import _objective_sum, gap_residual
+from .objectives import _channel_residuals, _objective_sum
 from .rounds import ConvergenceReport, momentum_coefficient
 
 
@@ -106,6 +104,12 @@ class SimConfig:
             raise ValueError(f"loss_probability out of [0,1): {self.loss_probability}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.guard_time < 0.0:
+            raise ValueError(f"guard_time must be >= 0, got {self.guard_time}")
+        if self.steady_tol < 0.0:
+            raise ValueError(f"steady_tol must be >= 0, got {self.steady_tol}")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.staleness_mode not in ("live", "assumption1"):
             raise ValueError(f"unknown staleness_mode: {self.staleness_mode!r}")
         if self.adjacency is not None:
@@ -167,9 +171,7 @@ class TraceRecord:
 class SimulationResult:
     report: ConvergenceReport
     trace: list
-    time_to_convergence: float
     occupancy: list
-    available_tx_time: list
     order_change_rounds: int
     steady_round: Optional[int] = None  # first round of a settled firing pattern
 
@@ -188,13 +190,18 @@ class Simulation:
         n, C, T = config.n, config.channels, config.period
 
         if config.initial_phases is not None:
-            phases = np.asarray(config.initial_phases, dtype=np.float64) % 1.0
+            phases = np.asarray(config.initial_phases, dtype=np.float64)
             if phases.shape != (n,):
                 raise ValueError(f"initial_phases must have shape ({n},)")
+            if not np.isfinite(phases).all():
+                raise ValueError("initial_phases must be finite")
+            phases = phases % 1.0
         else:
             phases = self.rng.random(n)
         if config.initial_channels is not None:
-            channels = np.asarray(config.initial_channels, dtype=int)
+            channels = np.asarray(config.initial_channels)
+            if not np.array_equal(channels, np.floor(channels)):
+                raise ValueError("initial_channels must be integers")
             if channels.shape != (n,) or channels.min() < 0 or channels.max() >= C:
                 raise ValueError("initial_channels out of range")
         else:
@@ -579,18 +586,13 @@ class Simulation:
     def _objective(self, offsets: np.ndarray, vectors: list[np.ndarray]) -> float:
         """Per-channel equispacing terms of the channel vectors, in channel
         order, plus the circular Sync-alignment penalty (several channels;
-        the Sync nodes are elected only then). Channels of equal size take
-        their residuals from one gap_residual call on their stacked rows."""
-        residuals = {}
-        for size in {vec.size for vec in vectors}:
-            cs = [c for c, vec in enumerate(vectors) if vec.size == size]
-            residuals.update(zip(cs, gap_residual(np.stack([vectors[c] for c in cs]))))
+        the Sync nodes are elected only then)."""
         syncs = [s for s in self.sync_of if s is not None]
         diffs = None
         if len(syncs) > 1:
             f = offsets[syncs]
             diffs = _circdiff(np.roll(f, -1) - f)
-        return _objective_sum((residuals[c] for c in range(len(vectors))), diffs)
+        return _objective_sum(_channel_residuals(vectors), diffs)
 
     def objective_of(self, offsets: np.ndarray) -> float:
         """Gap objective on recovered offsets: per-channel equispacing terms
@@ -679,11 +681,7 @@ class Simulation:
         return SimulationResult(
             report=report,
             trace=self.trace,
-            time_to_convergence=rounds * cfg.period if converged else math.inf,
             occupancy=self.occupancy(),
-            available_tx_time=[
-                cfg.period - len(m) * 2.0 * cfg.guard_time for m in self.channel_members if m
-            ],
             order_change_rounds=sum(rec.order_changed for rec in self.trace),
             steady_round=steady_round if not converged else rounds,
         )
@@ -747,19 +745,3 @@ def run_simulation(config: SimConfig) -> SimulationResult:
     fire-event loop to convergence, a steady state or the round cap."""
     return Simulation(config).run()
 
-
-def trace_to_csv(trace: Sequence[TraceRecord], path, channels: int):
-    """One row per record: round, sim_time_s, objective, occ_1..occ_C, converged_flag."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["round", "sim_time_s", "objective"]
-            + [f"occ_{c + 1}" for c in range(channels)]
-            + ["converged_flag"]
-        )
-        for rec in trace:
-            writer.writerow(
-                [rec.round_index, repr(float(rec.sim_time)), repr(float(rec.objective))]
-                + [str(o) for o in rec.occupancy]
-                + [int(rec.converged)]
-            )

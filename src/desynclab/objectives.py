@@ -55,12 +55,19 @@ def desync_objective(phi, problem: SingleChannelProblem) -> float:
     return _objective_sum([gap_residual(as_phase_vector(phi, problem.n))])
 
 
-def _first_node_values(phis: list[np.ndarray]) -> np.ndarray:
-    return np.array([p[0] for p in phis])
+def _channel_residuals(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each channel vector's gap residual, in channel order. Vectors of equal
+    length take theirs from one gap_residual call on their stacked rows,
+    which gives every row the bits of its own call."""
+    residuals = {}
+    for size in {vec.size for vec in vectors}:
+        cs = [c for c, vec in enumerate(vectors) if vec.size == size]
+        residuals.update(zip(cs, gap_residual(np.stack([vectors[c] for c in cs]))))
+    return [residuals[c] for c in range(len(vectors))]
 
 
 def multichannel_objective(phis: Sequence, problem: MultichannelProblem) -> float:
     """Sum of per-channel gap objectives plus the cyclic first-node consensus penalty."""
     phis = as_channel_vectors(phis, problem)
-    first = _first_node_values(phis)
-    return _objective_sum([gap_residual(p) for p in phis], np.roll(first, -1) - first)
+    first = np.array([p[0] for p in phis])
+    return _objective_sum(_channel_residuals(phis), np.roll(first, -1) - first)

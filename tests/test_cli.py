@@ -4,7 +4,13 @@ import os
 import pytest
 
 from desynclab.cli import main
-from desynclab.experiments import EXIT_OK, EXIT_TRIAL_FAILURE, EXIT_VALIDATION
+from desynclab.experiments import (
+    EXIT_BOUND_VIOLATION,
+    EXIT_OK,
+    EXIT_TRIAL_FAILURE,
+    EXIT_VALIDATION,
+    BoundsRow,
+)
 
 
 def write(tmp_path, name, text):
@@ -138,6 +144,29 @@ def test_bounds_command(tmp_path):
     assert lines[1].endswith(",0")  # violated flag false
 
 
+def test_bounds_judges_the_fast_bound_inside_its_guarantee(tmp_path):
+    # fast-desync diverges at alpha = 0.8, beyond its bound's guarantee
+    # (alpha <= 1/2), so that row is not a violation
+    cfg = write(tmp_path, "two.yaml", "mode: desync\nn: 8\nalpha: [0.3, 0.8]\ntrials: 24\n")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in (out / "bounds.csv").read_text().splitlines()[1:]]
+    assert [(r[1], r[-1]) for r in rows] == [
+        ("0.3", "0"), ("0.3", "0"), ("0.8", "0"), ("0.8", "0")]
+    assert int(rows[-1][6]) > float(rows[-1][7])  # exceeded, but not guaranteed
+
+
+def test_bound_violation_exit_code(tmp_path, monkeypatch, capsys):
+    row = BoundsRow(n=8, alpha=0.3, epsilon=1e-3, trials=2, max_rounds_desync=30,
+                    bound_desync=25.0, max_rounds_fast=10, bound_fast=374.0, violated=True)
+    monkeypatch.setattr("desynclab.cli.compare_bounds", lambda spec: [row])
+    cfg = write(tmp_path, "b.yaml", "mode: desync\nn: 8\nalpha: [0.3]\ntrials: 2\n")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_BOUND_VIOLATION
+    assert capsys.readouterr().err == "bound violation detected (implementation bug)\n"
+    assert (out / "bounds.csv").read_text().splitlines()[1].endswith(",1")
+
+
 def test_spectra_command(tmp_path):
     cfg = write(
         tmp_path, "spectra.yaml",
@@ -171,7 +200,9 @@ def test_simulate_command(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == "round,sim_time_s,objective,occ_1,converged_flag"
+    assert b"\r" not in (out / "trace.csv").read_bytes()  # LF, like every CSV
     report = json.loads((out / "simulation.json").read_text())
+    assert list(report) == sorted(report)
     assert report["converged"] is True
     assert report["rounds"] >= 0
     assert report["steady_round"] == report["rounds"]

@@ -82,9 +82,18 @@ def test_empty_network_errors():
      "^initial_channels out of range$"),
     (dict(channels=2, initial_channels=np.array([0, -1, 1, 0])),
      "^initial_channels out of range$"),
+    (dict(channels=2, initial_channels=np.array([0.5, 1.7, 0.0, 1.0])),
+     "^initial_channels must be integers$"),
+    (dict(initial_phases=np.array([0.1, np.nan, 0.3, 0.4])), "^initial_phases must be finite$"),
+    (dict(initial_phases=np.array([0.1, 0.2, np.inf, 0.4])), "^initial_phases must be finite$"),
+    (dict(max_rounds=0), "^max_rounds must be >= 1, got 0$"),
+    (dict(max_rounds=-3), "^max_rounds must be >= 1, got -3$"),
+    (dict(guard_time=-0.001), r"^guard_time must be >= 0, got -0\.001$"),
+    (dict(steady_tol=-1e-7), "^steady_tol must be >= 0, got -1e-07$"),
 ], ids=["n", "channels", "period", "alpha", "gamma", "loss", "epsilon",
         "staleness", "adjacency", "initial-phases", "channel-too-high",
-        "channel-negative"])
+        "channel-negative", "channel-fractional", "phase-nan", "phase-inf",
+        "max-rounds-0", "max-rounds-negative", "guard-time", "steady-tol"])
 def test_config_validation_messages(kw, match):
     with pytest.raises(ValueError, match=match):
         Simulation(single_channel_config(**kw))
@@ -622,6 +631,40 @@ def test_swap_rejects_unconverged_network():
     sim = Simulation(cfg)  # not run: transient state
     with pytest.raises(SwapError):
         sim.swap_channels(sim.channel_members[0][0], sim.channel_members[1][0])
+
+
+def paired_sim(channels, sync_phase, desync_phase):
+    # two nodes per channel, already converged: the Sync nodes (even ids)
+    # share one phase and every Desync node sits half a period from them
+    n = 2 * channels
+    phases = np.where(np.arange(n) % 2, desync_phase, sync_phase)
+    return Simulation(SimConfig(n=n, channels=channels, initial_phases=phases,
+                                initial_channels=np.arange(n) // 2))
+
+
+@pytest.mark.parametrize("make, partners, kw, match", [
+    (lambda: Simulation(SimConfig(n=4, rng_seed=1)), (0, 1), {},
+     "^channel swap needs at least two channels$"),
+    (lambda: paired_sim(4, 0.0, 0.5), (1, 5), {}, "^channels 0 and 2 are not adjacent$"),
+    # a tolerance of a whole period admits the half-period pair
+    (lambda: paired_sim(2, 0.0, 0.5), (0, 3), dict(tol=1.0),
+     "^swap partners must hold the same role$"),
+    # the Sync nodes fire 0.005 s from now, inside the 0.006 s guard time
+    (lambda: paired_sim(2, 0.95, 0.45), (1, 3), {},
+     r"^swap issued inside the guard window around a beacon \(5\.000e-03s to the next fire\)$"),
+], ids=["one-channel", "not-adjacent", "different-roles", "guard-window"])
+def test_swap_rejection_messages(make, partners, kw, match):
+    sim = make()
+    with pytest.raises(SwapError, match=match):
+        sim.swap_channels(*partners, **kw)
+
+
+def test_balance_channels_leaves_one_channel_alone():
+    sim = Simulation(SimConfig(n=5, rng_seed=3))
+    before = sim.next_fire
+    assert sim.balance_channels() is None
+    assert sim.occupancy() == [5] and sim.channel_members == [[0, 1, 2, 3, 4]]
+    assert np.array_equal(sim.next_fire, before)
 
 
 def test_repeated_swaps_keep_steady_state():

@@ -23,11 +23,11 @@ from desynclab import (
     run_until_convergence,
     serialize_spec,
 )
-from desynclab.eventsim import trace_to_csv
 from desynclab.experiments import (
     DEFAULT_ALPHAS,
     ExperimentSpec,
     _SPEC_KEYS,
+    trace_to_csv,
     write_bounds_csv,
     write_spectra_csv,
     write_sweep_csv,

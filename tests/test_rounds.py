@@ -268,7 +268,9 @@ def test_run_until_convergence_aborts_on_nonfinite():
     # finite offsets whose gaps square past the float range
     (lambda p: run_until_convergence(DesyncState(np.array([0.0, 1e200, 2e200, 3e200])), p),
      FloatingPointError, "^non-finite objective on the initial state$"),
-], ids=["negative-k", "max-rounds-0", "nonfinite-start"])
+    (lambda p: run_until_convergence(np.array([0.0, 0.5, 0.6, 0.7]), p),
+     TypeError, "^no round operation known for state type <class 'numpy.ndarray'>$"),
+], ids=["negative-k", "max-rounds-0", "nonfinite-start", "unknown-state-type"])
 def test_round_engine_validation_messages(call, error, match):
     p = SingleChannelProblem(4, 0.5, 1e-3)
     with np.errstate(over="ignore"), pytest.raises(error, match=match):
