@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# Run every `desynclab` console-script command on small configs and check
+# their exit codes. Run it from an empty scratch directory, with the package
+# installed:
+#
+#     cd "$(mktemp -d)" && bash /path/to/repo/scripts/cli_smoke.sh
+#
+# It needs only the runtime dependencies (numpy, pyyaml).
+set -eo pipefail
+
+printf 'mode: much\nchannels: 4\nnodes_per_channel: 4\n' > much.yaml
+printf 'mode: event-sim\nn: 8\nchannels: 2\nalpha: 0.5\nepsilon: 1e-3\nseed_base: 1\n' > sim.yaml
+printf 'mode: desync\nn: 8\nalpha: [0.3]\ntrials: 16\n' > sweep.yaml
+desynclab spectra --config much.yaml --out cli-out
+desynclab simulate --config sim.yaml --out cli-out
+# every CSV ends its lines in LF, trace.csv included
+if grep -q $'\r' cli-out/trace.csv; then echo "trace.csv has CR line ends"; exit 1; fi
+desynclab sweep --config sweep.yaml --out cli-out
+desynclab bounds --config sweep.yaml --out cli-out
+# fast-desync diverges at alpha = 0.8, outside its bound's guarantee: exit 0
+printf 'mode: desync\nn: 8\nalpha: [0.3, 0.8]\ntrials: 24\n' > bounds-two-alpha.yaml
+desynclab bounds --config bounds-two-alpha.yaml --out cli-out
+desynclab plotdata --summary cli-out/summary.json --out cli-out/plots
+# a key with no value, and an `out` that names a file, exit 2 (validation)
+printf 'mode: desync\nn: 8\ntrials:\n' > null.yaml
+printf 'mode: desync\nn: 8\nalpha: [0.3]\ntrials: 16\nout: taken\n' > taken.yaml
+touch taken
+rc=0; desynclab sweep --config null.yaml --out cli-out || rc=$?; test "$rc" -eq 2
+rc=0; desynclab sweep --config taken.yaml || rc=$?; test "$rc" -eq 2
+# simulate runs one grid point, and a config gives only keys its mode reads
+printf 'mode: event-sim\nn: 4\nalpha: [0.3, 0.5]\nepsilon: 1e-3\n' > two-alpha.yaml
+printf 'mode: desync\nn: 8\ngamma: [0.6]\n' > unread.yaml
+rc=0; desynclab simulate --config two-alpha.yaml --out cli-out || rc=$?; test "$rc" -eq 2
+rc=0; desynclab sweep --config unread.yaml --out cli-out || rc=$?; test "$rc" -eq 2
+# a summary whose spec fails its checks exits 2, as a config would
+sed 's/"trials": 16/"trials": 0/' cli-out/summary.json > bad-summary.json
+rc=0; desynclab plotdata --summary bad-summary.json --out cli-out/bad || rc=$?; test "$rc" -eq 2
+echo "cli smoke: ok"

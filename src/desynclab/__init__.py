@@ -64,7 +64,6 @@ from .experiments import (
     load_summary,
     parse_spec,
     run_sweep,
-    serialize_spec,
     trace_to_csv,
 )
 

@@ -13,7 +13,8 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 from operator import attrgetter
 
 import numpy as np
@@ -34,6 +35,8 @@ from .trials import (
 )
 
 MODES = ("desync", "fast-desync", "much", "fast-much", "event-sim")
+# The single-channel and the multichannel modes, each plain then accelerated.
+_SINGLE, _MULTI = ("desync", "fast-desync"), ("much", "fast-much")
 
 # Wide grid for the plain algorithms (stable on all of (0,1)).
 DEFAULT_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 20))
@@ -59,8 +62,6 @@ _SPECTRA_COLUMNS = (
     "max_spectrum_mismatch", "eigenvalue_one_multiplicity", "passed",
 )
 SWEEP_CSV_HEADER = ",".join(_SWEEP_COLUMNS)
-BOUNDS_CSV_HEADER = ",".join(_BOUNDS_COLUMNS)
-SPECTRA_CSV_HEADER = ",".join(_SPECTRA_COLUMNS)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -74,7 +75,11 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    mode: str
+    """One study. Checked wherever it is built (parsed, constructed,
+    replaced or loaded), with its two mode-dependent defaults filled: the
+    alpha grid, paired or plain, and event-sim's single channel."""
+
+    mode: str | None = None  # no default mode: None fails the mode check
     n: int | None = None
     channels: int | None = None
     nodes_per_channel: int | None = None
@@ -89,20 +94,54 @@ class ExperimentSpec:
     staleness_mode: str = "live"
     workers: int = 1
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("alphas", "gammas", "epsilons"):
-            d[key] = list(d[key])
-        return d
+    def __post_init__(self):
+        mode = self.mode
+        if mode not in MODES:
+            raise SpecError(f"mode must be one of {MODES}, got {mode!r}")
+        if not self.alphas:
+            paired = mode in ("fast-desync", "fast-much")
+            object.__setattr__(self, "alphas",
+                               DEFAULT_ALPHAS_PAIRED if paired else DEFAULT_ALPHAS)
+        if mode == "event-sim" and self.channels is None:
+            object.__setattr__(self, "channels", 1)
 
-
-# YAML config key -> ExperimentSpec field: four keys are renamed, the others
-# are the field names themselves.
-_SPEC_KEYS = {
-    {"alphas": "alpha", "gammas": "gamma", "epsilons": "epsilon",
-     "out_dir": "out"}.get(f.name, f.name): f.name
-    for f in fields(ExperimentSpec)
-}
+        for a in self.alphas:
+            if not 0.0 < a < 1.0:
+                raise SpecError(f"alpha out of (0,1): {a}")
+        for g in self.gammas:
+            if not 0.0 < g < 1.0:
+                raise SpecError(f"gamma out of (0,1): {g}")
+        for e in self.epsilons:
+            if e <= 0.0:
+                raise SpecError(f"epsilon must be > 0: {e}")
+        n, channels, npc = self.n, self.channels, self.nodes_per_channel
+        if mode in _SINGLE:
+            if n is None or n < 2:
+                raise SpecError(f"mode {mode} needs n >= 2")
+        elif mode in _MULTI:
+            if channels is None or npc is None:
+                raise SpecError(f"mode {mode} needs channels and nodes_per_channel")
+            if channels < 2 or npc < 2:
+                raise SpecError("need channels >= 2 and nodes_per_channel >= 2")
+        else:  # event-sim
+            if n is None or n < 1:
+                raise SpecError("mode event-sim needs n >= 1")
+            if channels < 1:
+                raise SpecError(f"mode event-sim needs channels >= 1, got {channels}")
+        if self.trials < 1:
+            raise SpecError(f"trials must be >= 1, got {self.trials}")
+        if self.seed_base < 0 or self.seed_base + self.trials > 2**64:
+            raise SpecError(
+                f"seed_base must be >= 0 with seed_base + trials <= 2**64, got {self.seed_base}"
+            )
+        if self.workers < 1:
+            raise SpecError(f"workers must be >= 1, got {self.workers}")
+        if not 0.0 <= self.loss_probability < 1.0:
+            raise SpecError(f"loss_probability out of [0,1): {self.loss_probability}")
+        if self.staleness_mode not in ("live", "assumption1"):
+            raise SpecError(f"unknown staleness_mode: {self.staleness_mode!r}")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise SpecError("max_rounds must be >= 1")
 
 
 def _as_grid(value, name: str) -> tuple[float, ...]:
@@ -141,42 +180,44 @@ def _as_str(value, name: str) -> str:
 
 
 def _as_given(value, name: str):
-    """mode and staleness_mode: checked against their choices in parse_spec."""
+    """mode and staleness_mode: checked against their choices by
+    ExperimentSpec."""
     return value
 
 
-# The reader of each config key's value. A key with no value (YAML null) is
-# rejected like any other wrong type; an absent key takes ExperimentSpec's
-# default.
-_READERS = {
-    "mode": _as_given, "n": _as_int, "channels": _as_int,
-    "nodes_per_channel": _as_int, "alpha": _as_grid, "gamma": _as_grid,
-    "epsilon": _as_grid, "trials": _as_int, "seed_base": _as_int,
-    "out": _as_str, "max_rounds": _as_int, "loss_probability": _as_float,
-    "staleness_mode": _as_given, "workers": _as_int,
-}
+class _Key(NamedTuple):
+    field: str     # the ExperimentSpec field the key sets
+    read: object   # the reader of its value
+    modes: tuple   # the modes that read it
 
-
-# The config keys that only some modes read, and those modes; every other
-# key is read by every mode. A config may give only keys its mode reads.
-_MODE_KEYS = {
-    "n": ("desync", "fast-desync", "event-sim"),
-    "channels": ("much", "fast-much", "event-sim"),
-    "nodes_per_channel": ("much", "fast-much"),
-    "gamma": ("much", "fast-much", "event-sim"),
-    "loss_probability": ("event-sim",),
-    "staleness_mode": ("event-sim",),
+# Every YAML config key. A key with no value (YAML null) is rejected by its
+# reader like any other wrong type; an absent key takes ExperimentSpec's
+# default. A config may give only keys its mode reads.
+_SPEC_KEYS = {
+    "mode": _Key("mode", _as_given, MODES),
+    "n": _Key("n", _as_int, (*_SINGLE, "event-sim")),
+    "channels": _Key("channels", _as_int, (*_MULTI, "event-sim")),
+    "nodes_per_channel": _Key("nodes_per_channel", _as_int, _MULTI),
+    "alpha": _Key("alphas", _as_grid, MODES),
+    "gamma": _Key("gammas", _as_grid, (*_MULTI, "event-sim")),
+    "epsilon": _Key("epsilons", _as_grid, MODES),
+    "trials": _Key("trials", _as_int, MODES),
+    "seed_base": _Key("seed_base", _as_int, MODES),
+    "out": _Key("out_dir", _as_str, MODES),
+    "max_rounds": _Key("max_rounds", _as_int, MODES),
+    "loss_probability": _Key("loss_probability", _as_float, ("event-sim",)),
+    "staleness_mode": _Key("staleness_mode", _as_given, ("event-sim",)),
+    "workers": _Key("workers", _as_int, MODES),
 }
 
 
 def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
-    """Parse and validate a YAML experiment config. Each key the config gives
-    is read by its reader, the others take ExperimentSpec's defaults, and
-    the mode-dependent defaults are applied, so the returned spec is fully
-    explicit. Unknown keys are rejected. `overrides` replace config keys
-    before validation, so they pass the same checks as the file's own
-    values. A key the mode does not read (`_MODE_KEYS`) is rejected after
-    every other check."""
+    """Parse a YAML experiment config. Unknown keys are rejected, each key
+    the config gives is read by its reader (`_SPEC_KEYS`), and the spec is
+    built, which checks it and fills its defaults. `overrides` replace
+    config keys before they are read, so they pass the same checks as the
+    file's own values. A key the mode does not read is rejected after every
+    other check."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -189,68 +230,12 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     unknown = set(raw) - set(_SPEC_KEYS)
     if unknown:
         raise SpecError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    mode = raw.get("mode")
-    if mode not in MODES:
-        raise SpecError(f"mode must be one of {MODES}, got {mode!r}")
-
-    spec = ExperimentSpec(**{_SPEC_KEYS[key]: _READERS[key](value, key)
+    spec = ExperimentSpec(**{_SPEC_KEYS[key].field: _SPEC_KEYS[key].read(value, key)
                              for key, value in raw.items()})
-    if not spec.alphas:
-        paired = mode in ("fast-desync", "fast-much")
-        spec = replace(spec, alphas=DEFAULT_ALPHAS_PAIRED if paired else DEFAULT_ALPHAS)
-    if mode == "event-sim" and spec.channels is None:
-        spec = replace(spec, channels=1)
-
-    for a in spec.alphas:
-        if not 0.0 < a < 1.0:
-            raise SpecError(f"alpha out of (0,1): {a}")
-    for g in spec.gammas:
-        if not 0.0 < g < 1.0:
-            raise SpecError(f"gamma out of (0,1): {g}")
-    for e in spec.epsilons:
-        if e <= 0.0:
-            raise SpecError(f"epsilon must be > 0: {e}")
-    n, channels, npc = spec.n, spec.channels, spec.nodes_per_channel
-    if mode in ("desync", "fast-desync"):
-        if n is None or n < 2:
-            raise SpecError(f"mode {mode} needs n >= 2")
-    elif mode in ("much", "fast-much"):
-        if channels is None or npc is None:
-            raise SpecError(f"mode {mode} needs channels and nodes_per_channel")
-        if channels < 2 or npc < 2:
-            raise SpecError("need channels >= 2 and nodes_per_channel >= 2")
-    else:  # event-sim
-        if n is None or n < 1:
-            raise SpecError("mode event-sim needs n >= 1")
-        if channels < 1:
-            raise SpecError(f"mode event-sim needs channels >= 1, got {channels}")
-    if spec.trials < 1:
-        raise SpecError(f"trials must be >= 1, got {spec.trials}")
-    if spec.seed_base < 0 or spec.seed_base + spec.trials > 2**64:
-        raise SpecError(
-            f"seed_base must be >= 0 with seed_base + trials <= 2**64, got {spec.seed_base}"
-        )
-    if spec.workers < 1:
-        raise SpecError(f"workers must be >= 1, got {spec.workers}")
-    if not 0.0 <= spec.loss_probability < 1.0:
-        raise SpecError(f"loss_probability out of [0,1): {spec.loss_probability}")
-    if spec.staleness_mode not in ("live", "assumption1"):
-        raise SpecError(f"unknown staleness_mode: {spec.staleness_mode!r}")
-    if spec.max_rounds is not None and spec.max_rounds < 1:
-        raise SpecError("max_rounds must be >= 1")
-    unread = sorted(key for key in raw if mode not in _MODE_KEYS.get(key, MODES))
+    unread = sorted(key for key in raw if spec.mode not in _SPEC_KEYS[key].modes)
     if unread:
-        raise SpecError(f"mode {mode} does not read {', '.join(unread)}")
+        raise SpecError(f"mode {spec.mode} does not read {', '.join(unread)}")
     return spec
-
-
-def serialize_spec(spec: ExperimentSpec) -> str:
-    """The spec as a YAML config: its mode, and every value that differs
-    from ExperimentSpec(mode)'s default."""
-    values, defaults = spec.to_dict(), ExperimentSpec(spec.mode).to_dict()
-    doc = {key: values[name] for key, name in _SPEC_KEYS.items()
-           if key == "mode" or values[name] != defaults[name]}
-    return yaml.safe_dump(doc, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -313,7 +298,7 @@ def _single_channel_point(args) -> list[SweepRow]:
         warnings.simplefilter("ignore")
         bound_f = fast_desync_round_bound(problem)
     return _paired_rows(
-        ("desync", "fast-desync"), plain, fast,
+        _SINGLE, plain, fast,
         n=n, channels=1, alpha=alpha, gamma=float("nan"), epsilon=epsilon,
         bound_desync=desync_round_bound(problem), bound_fast=bound_f,
     )
@@ -327,7 +312,7 @@ def _multichannel_point(args) -> list[SweepRow]:
     plain = run_sync_desync_batch(phi0, beta, gamma, epsilon, cap, fast=False)
     fast = run_sync_desync_batch(phi0, beta, gamma, epsilon, cap, fast=True)
     return _paired_rows(
-        ("much", "fast-much"), plain, fast,
+        _MULTI, plain, fast,
         n=n, channels=C, alpha=alpha, gamma=gamma, epsilon=epsilon,
         bound_desync=float("nan"), bound_fast=float("nan"),
     )
@@ -338,7 +323,7 @@ def _sim_config(spec: ExperimentSpec, alpha: float, gamma: float, epsilon: float
     """The event simulation an event-sim spec describes at one grid point."""
     return SimConfig(
         n=spec.n,
-        channels=spec.channels or 1,
+        channels=spec.channels,
         alpha=alpha,
         gamma=gamma,
         epsilon=epsilon,
@@ -361,7 +346,7 @@ def _eventsim_point(args) -> list[SweepRow]:
         aborted=np.zeros(len(reports), dtype=bool),
     )
     return [
-        _row("event-sim", result, n=spec.n, channels=spec.channels or 1, alpha=alpha,
+        _row("event-sim", result, n=spec.n, channels=spec.channels, alpha=alpha,
              gamma=gamma, epsilon=epsilon, bound_desync=float("nan"),
              bound_fast=float("nan"), speedup_pct=float("nan"))
     ]
@@ -372,11 +357,11 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     plain and accelerated variants on identical per-trial starts, so the
     speed-up statistic is defined; the mode only selects the default grid.
     The start batch is sampled once and shared by every grid point."""
-    if spec.mode in ("desync", "fast-desync"):
+    if spec.mode in _SINGLE:
         phi0 = initial_phase_batch(spec.n, spec.trials, spec.seed_base)
         points = [(spec, phi0, a, e) for a in spec.alphas for e in spec.epsilons]
         worker = _single_channel_point
-    elif spec.mode in ("much", "fast-much"):
+    elif spec.mode in _MULTI:
         phi0 = initial_multichannel_batch(
             spec.channels, spec.nodes_per_channel, spec.trials, spec.seed_base
         )
@@ -420,7 +405,7 @@ def compare_bounds(spec: ExperimentSpec) -> list[BoundsRow]:
     implementation bug, when its plain rounds exceed the plain bound, or its
     accelerated rounds exceed the accelerated bound where that bound is
     guaranteed (alpha <= FAST_GUARANTEE_ALPHA_MAX)."""
-    if spec.mode not in ("desync", "fast-desync"):
+    if spec.mode not in _SINGLE:
         raise SpecError("bound comparison needs a single-channel mode")
     rows = run_sweep(spec).rows
     return [
@@ -559,21 +544,26 @@ def emit_plotdata(result: SweepResult, out_dir):
                 )
         paths.append(path)
     summary_path = os.path.join(out_dir, "summary.json")
-    _write_json(summary_path, {"spec": result.spec.to_dict(),
+    _write_json(summary_path, {"spec": asdict(result.spec),
                                "rows": [asdict(r) for r in result.rows]})
     paths.append(summary_path)
     return paths
 
 
 def load_summary(path) -> SweepResult:
+    """The sweep a summary.json holds. Spec keys missing from older
+    summaries take the defaults, unknown spec keys are ignored, and the spec
+    is checked like any other; a file that is not a summary raises
+    SpecError."""
     with open(path) as fh:
         doc = json.load(fh)
-    # keys missing from older summaries take the dataclass defaults;
-    # unknown keys are ignored
+    if not isinstance(doc, dict) or not isinstance(doc.get("spec"), dict):
+        raise SpecError(f"{path} is not a sweep summary: no spec object")
     names = {f.name for f in fields(ExperimentSpec)}
-    spec = ExperimentSpec(**{
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in doc["spec"].items() if k in names
-    })
-    rows = [SweepRow(**r) for r in doc["rows"]]
+    try:
+        spec = ExperimentSpec(**{k: tuple(v) if isinstance(v, list) else v
+                                 for k, v in doc["spec"].items() if k in names})
+        rows = [SweepRow(**r) for r in doc.get("rows")]
+    except TypeError as exc:
+        raise SpecError(f"{path} is not a sweep summary: {exc}") from exc
     return SweepResult(spec=spec, rows=rows)

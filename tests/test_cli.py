@@ -252,3 +252,23 @@ def test_plotdata_command(tmp_path):
     code = main(["plotdata", "--summary", str(out / "summary.json"), "--out", str(out2)])
     assert code == EXIT_OK
     assert (out2 / "summary.json").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["rows"],
+    lambda doc: {**doc, "spec": {k: v for k, v in doc["spec"].items() if k != "mode"}},
+    lambda doc: {**doc, "rows": [{**doc["rows"][0], "retired_column": 1}]},
+], ids=["not-an-object", "spec-without-mode", "unknown-row-key"])
+def test_plotdata_rejects_a_malformed_summary(tmp_path, capsys, edit):
+    cfg = write(
+        tmp_path, "sweep.yaml",
+        "mode: desync\nn: 4\nalpha: [0.5]\nepsilon: [1.0e-3]\ntrials: 3\n",
+    )
+    out = tmp_path / "out"
+    main(["sweep", "--config", cfg, "--out", str(out)])
+    summary = out / "summary.json"
+    summary.write_text(json.dumps(edit(json.loads(summary.read_text()))))
+    replot = tmp_path / "replot"
+    assert main(["plotdata", "--summary", str(summary), "--out", str(replot)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not replot.exists()

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from desynclab import (
     run_simulation,
     run_sweep,
     run_until_convergence,
-    serialize_spec,
 )
 from desynclab.experiments import (
     DEFAULT_ALPHAS,
+    DEFAULT_ALPHAS_PAIRED,
     ExperimentSpec,
     _SPEC_KEYS,
     trace_to_csv,
@@ -204,13 +205,6 @@ def test_parse_accepts_every_key_its_mode_reads():
         parse_spec("mode: desync\nn: 4\ngamma: [0.3]\nchannels: 3\n")
 
 
-def test_serialize_spec_writes_only_values_off_the_defaults():
-    spec = parse_spec("mode: desync\nn: 4\nalpha: [0.5]\n")
-    assert serialize_spec(spec) == "alpha:\n- 0.5\nmode: desync\nn: 4\n"
-    sim = parse_spec("mode: event-sim\nn: 4\nalpha: [0.5]\nseed_base: 0\n")
-    assert serialize_spec(sim) == "alpha:\n- 0.5\nchannels: 1\nmode: event-sim\nn: 4\n"
-
-
 @pytest.mark.parametrize("call, text, match", [
     (parse_spec, "mode: [desync\n", "^malformed config: "),
     (parse_spec, "- mode\n- desync\n", "^config must be a mapping$"),
@@ -242,22 +236,36 @@ def test_absent_keys_take_the_spec_defaults():
         mode="event-sim", n=4, channels=1, alphas=DEFAULT_ALPHAS)
 
 
+def test_constructed_spec_takes_the_mode_defaults():
+    spec = ExperimentSpec(mode="desync", n=4, trials=2)
+    assert spec.alphas == DEFAULT_ALPHAS
+    assert len(run_sweep(spec).rows) == 2 * len(DEFAULT_ALPHAS) * len(spec.epsilons)
+    assert ExperimentSpec(mode="fast-desync", n=4).alphas == DEFAULT_ALPHAS_PAIRED
+    assert ExperimentSpec(mode="event-sim", n=4).channels == 1
+
+
+@pytest.mark.parametrize("key, field, value", [
+    ("trials", "trials", 0), ("workers", "workers", 0), ("mode", "mode", "warp"),
+    ("alpha", "alphas", (1.5,)), ("max_rounds", "max_rounds", 0),
+], ids=["trials-0", "workers-0", "mode-warp", "alpha-1.5", "max-rounds-0"])
+def test_replaced_spec_fails_with_the_parse_message(key, field, value):
+    with pytest.raises(SpecError) as parsed:
+        parse_spec(MINIMAL, {key: list(value) if isinstance(value, tuple) else value})
+    with pytest.raises(SpecError) as replaced:
+        replace(parse_spec(MINIMAL), **{field: value})
+    assert str(replaced.value) == str(parsed.value)
+
+
+def test_spec_without_a_mode_fails_the_mode_check():
+    with pytest.raises(SpecError, match="^mode must be one of .*, got None$"):
+        ExperimentSpec(n=4)
+
+
 def test_uniform_rows_rejects_seed_base_out_of_range():
     for seed_base, trials in [(-1, 1), (2**64 - 3, 4), (2**64, 1)]:
         with pytest.raises(ValueError, match="seed_base"):
             _uniform_rows(seed_base, trials, 2)
     assert _uniform_rows(2**64 - 4, 4, 2).shape == (4, 2)
-
-
-def test_spec_round_trip():
-    spec = parse_spec(MINIMAL + "trials: 7\nseed_base: 3\n")
-    again = parse_spec(serialize_spec(spec))
-    assert again == spec
-    much = parse_spec(
-        "mode: fast-much\nchannels: 3\nnodes_per_channel: 4\n"
-        "alpha: [0.2, 0.4]\ngamma: [0.6]\nepsilon: [1.0e-3]\ntrials: 5\n"
-    )
-    assert parse_spec(serialize_spec(much)) == much
 
 
 def test_default_grids_by_mode():
@@ -424,6 +432,22 @@ def test_load_summary_defaults_missing_keys_and_ignores_unknown(tmp_path):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     assert load_summary(path).spec == result.spec
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("mode", "warp", "^mode must be one of .*, got 'warp'$"),
+    ("trials", 0, "^trials must be >= 1, got 0$"),
+])
+def test_load_summary_checks_the_spec(tmp_path, key, value, match):
+    emit_plotdata(run_sweep(small_spec(trials=3)), tmp_path)
+    path = os.path.join(tmp_path, "summary.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["spec"][key] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(SpecError, match=match):
+        load_summary(path)
 
 
 def test_empty_sweep_emits_headers_only(tmp_path):
