@@ -42,9 +42,10 @@ it. Guard times are bookkeeping only; they never touch the phase math.
 
 from __future__ import annotations
 
-import heapq
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -90,11 +91,18 @@ class SimConfig:
     steady_tol: float = 1e-7  # see STEADY_ROUNDS
 
     def __post_init__(self):
+        integers = {"n": self.n, "channels": self.channels}
+        if self.max_rounds is not None:
+            integers["max_rounds"] = self.max_rounds
+        for name, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # every range check below is written so that NaN fails it
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.channels < 1:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
-        if self.period <= 0.0:
+        if not self.period > 0.0:
             raise ValueError(f"period must be > 0, got {self.period}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha out of (0,1): {self.alpha}")
@@ -102,11 +110,11 @@ class SimConfig:
             raise ValueError(f"gamma out of (0,1): {self.gamma}")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError(f"loss_probability out of [0,1): {self.loss_probability}")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.guard_time < 0.0:
+        if not self.guard_time >= 0.0:
             raise ValueError(f"guard_time must be >= 0, got {self.guard_time}")
-        if self.steady_tol < 0.0:
+        if not self.steady_tol >= 0.0:
             raise ValueError(f"steady_tol must be >= 0, got {self.steady_tol}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
@@ -153,6 +161,18 @@ class FireEvent(NamedTuple):
     time: float
     node_id: int
     channel: int
+
+
+class _Layout(NamedTuple):
+    """The channel membership as a record reads it; it changes only on a
+    move or an election."""
+    ids: np.ndarray                  # every channel's members, concatenated in channel order
+    chan: np.ndarray                 # each member's channel
+    counts: tuple                    # the occupancy
+    spans: list                      # each non-empty channel's (start, stop) in ids
+    sync_pos: Optional[np.ndarray]   # each member's Sync position in ids (several channels)
+    syncs: Optional[np.ndarray]      # the Sync ids in channel order, the first repeated
+                                     # at the end (two or more Sync nodes)
 
 
 @dataclass
@@ -217,7 +237,7 @@ class Simulation:
         # then on step() frees each round once every node has fired in it
         self._keep_rounds = True
         # the last recorded round's channel-major firing order and occupancy
-        self._prev_round_order: tuple[bytes, list[int]] | None = None
+        self._prev_round_order: tuple[bytes, tuple[int, ...]] | None = None
         self.completed_rounds = 0
         self.trace: list[TraceRecord] = []
         # per-channel delivery state: the latest announcement, the members
@@ -234,7 +254,7 @@ class Simulation:
         # old one to be skipped when popped (it expires within one period)
         self._queue = [(t, nd.channel, nd.node_id)
                        for t, nd in zip(self._next_fire, self.nodes)]
-        heapq.heapify(self._queue)
+        heapify(self._queue)
 
         self._rebuild_channels()
         if C > 1:
@@ -264,15 +284,24 @@ class Simulation:
         self.sync_of: list[Optional[int]] = [None] * C
         self._layout = None
 
-    def _member_layout(self):
-        """Every channel's members concatenated in channel order, each one's
-        channel and the position of its channel's Sync node (None on one
-        channel); rebuilt on first use after a membership or election change."""
+    def _member_layout(self) -> _Layout:
+        """What a record reads of the channel membership (see _Layout),
+        rebuilt on first use after a membership or election change."""
         if self._layout is None:
+            C = self.config.channels
+            counts = tuple(self.occupancy())
             ids = np.array([i for mem in self.channel_members for i in mem], dtype=np.intp)
-            chan = np.repeat(np.arange(self.config.channels), self.occupancy())
-            syncs = np.array([-1 if s is None else s for s in self.sync_of])[chan]
-            self._layout = (ids, chan, np.argsort(ids)[syncs] if self.config.channels > 1 else None)
+            chan = np.repeat(np.arange(C), counts)
+            ends = np.cumsum(counts).tolist()
+            spans = [(end - m, end) for m, end in zip(counts, ends) if m]
+            sync_pos = syncs = None
+            if C > 1:
+                sync_ids = np.array([-1 if s is None else s for s in self.sync_of])
+                sync_pos = np.argsort(ids)[sync_ids[chan]]
+                elected = [s for s in self.sync_of if s is not None]
+                if len(elected) > 1:
+                    syncs = np.array(elected + elected[:1], dtype=np.intp)
+            self._layout = _Layout(ids, chan, counts, spans, sync_pos, syncs)
         return self._layout
 
     def _elect(self, channel: int):
@@ -375,35 +404,40 @@ class Simulation:
         return snapshot
 
     def _schedule(self, node: NodeState, t: float):
-        """Set the node's next fire time and queue it."""
+        """Set the node's next fire time and queue it: the Sync, ledger and
+        channel-move reschedules. The two on nearly every fire, the firer's
+        and the Desync update's, do the same inline."""
         t = float(t)  # queue keys compare faster as Python floats than numpy scalars
         self._next_fire[node.node_id] = t
-        heapq.heappush(self._queue, (t, node.channel, node.node_id))
+        heappush(self._queue, (t, node.channel, node.node_id))
 
     def _pending_phase(self, node: NodeState, t: float) -> float:
         """The node's phase at time t, read from its pending fire: time-to-fire
         is exact where it matters, while the (t/T + phi) mod 1 form is
         ill-conditioned at fire instants and can read 0 for a node whose fire
-        is imminent, which would silently skip that fire on reschedule."""
+        is imminent, which would silently skip that fire on reschedule. The
+        Desync update reads it inline."""
         return max(0.0, 1.0 - (self._next_fire[node.node_id] - t) / self.config.period)
 
     def advance_to_next_fire(self) -> FireEvent:
         """Advance the clock to the earliest phase-1 crossing; the firer wraps
-        to phase 0 and its next fire is scheduled one period later. Ties
-        break on (channel, node_id)."""
+        to phase 0 and its next fire is scheduled one period later, in place
+        of its popped queue entry. Ties break on (channel, node_id)."""
         if not self.nodes:
             raise RuntimeError("empty network: no node can fire")
         queue, next_fire, nodes = self._queue, self._next_fire, self.nodes
-        while True:
-            t, ch, nid = heapq.heappop(queue)
-            firer = nodes[nid]
-            if t == next_fire[nid] and ch == firer.channel:
-                break
+        t, ch, nid = queue[0]
+        while t != next_fire[nid] or ch != nodes[nid].channel:
+            heappop(queue)
+            t, ch, nid = queue[0]
+        firer = nodes[nid]
         self.time = t
         firer.fire_count += 1
         self._rounds[firer.fire_count][nid] = t
-        self._schedule(firer, t + self.config.period)
-        return FireEvent(t, nid, ch)
+        t_next = next_fire[nid] = t + self.config.period
+        heapreplace(queue, (t_next, ch, nid))
+        # FireEvent(...) would run the named tuple's Python-level __new__
+        return tuple.__new__(FireEvent, (t, nid, ch))
 
     def _heard(self, node: NodeState) -> Optional[float]:
         """The last announcement the node heard in its channel."""
@@ -413,28 +447,13 @@ class Simulation:
         return self._latest[c]
 
     def step(self) -> FireEvent:
+        """Fire the next node and announce the fire to its channel. Only the
+        members that miss it are touched one by one: they keep the previous
+        announcement, everyone else reads the channel's latest. The Desync
+        members awaiting an update that heard it update, in ascending id."""
         event = self.advance_to_next_fire()
-        self._deliver(event)
-        if not self._keep_rounds:
-            self._free_round()
-        return event
-
-    def _free_round(self):
-        """Drop the next round unrecorded once every node has fired in it.
-        The firing order of the round before it no longer precedes the next
-        recorded one, so it is forgotten too."""
-        r = self.completed_rounds + 1
-        if len(self._rounds.get(r, ())) == self.config.n:
-            del self._rounds[r]
-            self.completed_rounds = r
-            self._prev_round_order = None
-
-    def _deliver(self, event: FireEvent):
-        """Announce a fire to its channel. Only the members that miss it are
-        touched one by one: they keep the previous announcement, everyone
-        else reads the channel's latest."""
-        cfg = self.config
         t, firer_id, c = event
+        cfg = self.config
         announced = (1.0 - t / cfg.period) % 1.0
         nodes = self.nodes
         sync = self.sync_of[c]
@@ -452,14 +471,15 @@ class Simulation:
         ready = awaiting - missed
         if ready:
             awaiting -= ready
+            update = self._on_fire_desync
             # in ascending id, the member order; one node needs no sort
             for nid in sorted(ready) if len(ready) > 1 else ready:
-                self._on_fire_desync(nodes[nid], event, announced)
+                update(nodes[nid], event, announced)
         self._latest[c] = announced
         self._missed[c] = missed
         if firer_id != sync:
             awaiting.add(firer_id)
-        elif cfg.channels > 1 and c != 0:
+        elif c:  # a Sync firer on a channel after the first
             # chain topology: channel c-1 syncs to channel c; the wrap edge
             # (last channel listening to channel 0) is dropped, making the
             # last channel's Sync the free-running reference
@@ -467,6 +487,19 @@ class Simulation:
             if watcher is not None and watcher != firer_id:
                 if self.message_delivered(watcher, firer_id):
                     self._on_fire_sync(nodes[watcher], event, announced)
+        if not self._keep_rounds:
+            self._free_round()
+        return event
+
+    def _free_round(self):
+        """Drop the next round unrecorded once every node has fired in it.
+        The firing order of the round before it no longer precedes the next
+        recorded one, so it is forgotten too."""
+        r = self.completed_rounds + 1
+        if len(self._rounds.get(r, ())) == self.config.n:
+            del self._rounds[r]
+            self.completed_rounds = r
+            self._prev_round_order = None
 
     def _on_fire_desync(self, listener: NodeState, event: FireEvent, announced: float):
         """Midpoint update at the predecessor's fire, for a listener awaiting
@@ -481,8 +514,11 @@ class Simulation:
         succ = listener.last_heard_offset
         if succ is None:
             return
-        alpha, t = cfg.alpha, event.time
-        p_own = self._pending_phase(listener, t)
+        nid, alpha, period, t = listener.node_id, cfg.alpha, cfg.period, event[0]
+        next_fire = self._next_fire
+        # the pending phase, read as _pending_phase reads it
+        p_own = 1.0 - (next_fire[nid] - t) / period
+        p_own = p_own if p_own > 0.0 else 0.0
         # successor position relative to the firer; the successor fired ahead
         # of the listener, so lift near-zero values (a full cycle ahead, the
         # two-node case) past p_own instead of letting rounding collapse them
@@ -504,8 +540,10 @@ class Simulation:
             listener.phi = new_pos
             theta_new = p_new
         # p_new is the listener's new phase at the fire instant; scheduling
-        # from it directly avoids another mod-1 roundtrip
-        self._schedule(listener, t + cfg.period * (1.0 - theta_new))
+        # from it directly avoids another mod-1 roundtrip. Queued inline, as
+        # _schedule would: this runs on nearly every fire
+        t_next = next_fire[nid] = t + period * (1.0 - theta_new)
+        heappush(self._queue, (t_next, listener.channel, nid))
 
     def _ledger_value(self, nid: int, index: int) -> float:
         """A node's ledger value at update index `index`: the previous one
@@ -572,26 +610,29 @@ class Simulation:
     def _channel_vectors(self, offsets: np.ndarray) -> list[np.ndarray]:
         """Every non-empty channel's offsets, in channel order: ascending and
         cyclic from the Sync node (several channels) unwrapped past the fold,
-        or plain ascending (one channel); one lexsort orders every channel."""
-        ids, chan, sync_pos = self._member_layout()
-        vals = offsets[ids]
+        or plain ascending (one channel). One lexsort orders every channel,
+        and each vector is a slice of the one sorted array."""
+        layout = self._member_layout()
+        vals = offsets[layout.ids]
+        sync_pos = layout.sync_pos
         if sync_pos is None:
             return [np.sort(vals)]
         anchor = vals[sync_pos]
         rel = (vals - anchor) % 1.0
         rel[sync_pos] = 0.0
-        flat = rel[np.lexsort((rel, chan))] + anchor
-        return np.split(flat, np.cumsum([len(m) for m in self.channel_members if m])[:-1])
+        flat = rel[np.lexsort((rel, layout.chan))] + anchor
+        return [flat[a:b] for a, b in layout.spans]
 
     def _objective(self, offsets: np.ndarray, vectors: list[np.ndarray]) -> float:
         """Per-channel equispacing terms of the channel vectors, in channel
         order, plus the circular Sync-alignment penalty (several channels;
-        the Sync nodes are elected only then)."""
-        syncs = [s for s in self.sync_of if s is not None]
+        the Sync nodes are elected only then): each Sync's offset subtracted
+        from the next one's, the last's from the first's."""
+        syncs = self._member_layout().syncs
         diffs = None
-        if len(syncs) > 1:
+        if syncs is not None:
             f = offsets[syncs]
-            diffs = _circdiff(np.roll(f, -1) - f)
+            diffs = _circdiff(f[1:] - f[:-1])
         return _objective_sum(_channel_residuals(vectors), diffs)
 
     def objective_of(self, offsets: np.ndarray) -> float:
@@ -625,8 +666,9 @@ class Simulation:
         fired = self._rounds.pop(r)
         times = np.empty(self.config.n)
         times[np.fromiter(fired, np.intp)] = np.fromiter(fired.values(), float)
-        ids, chan, _ = self._member_layout()
-        order = (ids[np.lexsort((ids, times[ids], chan))].tobytes(), self.occupancy())
+        layout = self._member_layout()
+        ids = layout.ids
+        order = (ids[np.lexsort((ids, times[ids], layout.chan))].tobytes(), layout.counts)
         order_changed = (
             self._prev_round_order is not None and order != self._prev_round_order
         )
@@ -648,10 +690,13 @@ class Simulation:
         steady_run = 0
         prev_offsets = None
         step, buffered, n = self.step, self._rounds, cfg.n
+        # the fires of the next round to record, filled in place by step()
+        pending = buffered[self.completed_rounds + 1]
         while not converged and steady_round is None and self.completed_rounds < max_rounds:
             step()
-            if len(buffered[self.completed_rounds + 1]) == n:
+            if len(pending) == n:
                 rec = self._finish_round()
+                pending = buffered[self.completed_rounds + 1]
                 final = rec.objective
                 if not np.isfinite(final):
                     raise FloatingPointError("non-finite objective in simulation")

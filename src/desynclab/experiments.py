@@ -98,6 +98,11 @@ class ExperimentSpec:
         mode = self.mode
         if mode not in MODES:
             raise SpecError(f"mode must be one of {MODES}, got {mode!r}")
+        for name in ("n", "channels", "nodes_per_channel", "max_rounds"):  # None: not given
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        for name in ("trials", "seed_base", "workers"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not self.alphas:
             paired = mode in ("fast-desync", "fast-much")
             object.__setattr__(self, "alphas",
@@ -112,7 +117,7 @@ class ExperimentSpec:
             if not 0.0 < g < 1.0:
                 raise SpecError(f"gamma out of (0,1): {g}")
         for e in self.epsilons:
-            if e <= 0.0:
+            if not e > 0.0:
                 raise SpecError(f"epsilon must be > 0: {e}")
         n, channels, npc = self.n, self.channels, self.nodes_per_channel
         if mode in _SINGLE:

@@ -44,9 +44,9 @@ def _objective_sum(residuals, consensus: np.ndarray | None = None) -> float:
     add up here, so the traces' objective bits depend on this order alone."""
     total = 0.0
     for r in residuals:
-        total += 0.5 * float(r @ r)
+        total += 0.5 * float(r.dot(r))
     if consensus is not None:
-        total += 0.5 * float(consensus @ consensus)
+        total += 0.5 * float(consensus.dot(consensus))
     return total
 
 
@@ -59,11 +59,12 @@ def _channel_residuals(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Each channel vector's gap residual, in channel order. Vectors of equal
     length take theirs from one gap_residual call on their stacked rows,
     which gives every row the bits of its own call."""
-    residuals = {}
+    residuals = [None] * len(vectors)
     for size in {vec.size for vec in vectors}:
         cs = [c for c, vec in enumerate(vectors) if vec.size == size]
-        residuals.update(zip(cs, gap_residual(np.stack([vectors[c] for c in cs]))))
-    return [residuals[c] for c in range(len(vectors))]
+        for c, r in zip(cs, gap_residual(np.array([vectors[c] for c in cs]))):
+            residuals[c] = r
+    return residuals
 
 
 def multichannel_objective(phis: Sequence, problem: MultichannelProblem) -> float:

@@ -258,7 +258,8 @@ def test_plotdata_command(tmp_path):
     lambda doc: doc["rows"],
     lambda doc: {**doc, "spec": {k: v for k, v in doc["spec"].items() if k != "mode"}},
     lambda doc: {**doc, "rows": [{**doc["rows"][0], "retired_column": 1}]},
-], ids=["not-an-object", "spec-without-mode", "unknown-row-key"])
+    lambda doc: {**doc, "spec": {**doc["spec"], "n": 4.5}},
+], ids=["not-an-object", "spec-without-mode", "unknown-row-key", "fractional-n"])
 def test_plotdata_rejects_a_malformed_summary(tmp_path, capsys, edit):
     cfg = write(
         tmp_path, "sweep.yaml",

@@ -99,6 +99,30 @@ def test_config_validation_messages(kw, match):
         Simulation(single_channel_config(**kw))
 
 
+@pytest.mark.parametrize("kw, match", [
+    (dict(period=np.nan), "^period must be > 0, got nan$"),
+    (dict(epsilon=np.nan), "^epsilon must be > 0, got nan$"),
+    (dict(steady_tol=np.nan), "^steady_tol must be >= 0, got nan$"),
+    (dict(guard_time=np.nan), "^guard_time must be >= 0, got nan$"),
+    (dict(alpha=np.nan), r"^alpha out of \(0,1\): nan$"),
+    (dict(n=4.5), "^n must be an integer, got 4.5$"),
+    (dict(n=True), "^n must be an integer, got True$"),
+    (dict(channels=2.0), "^channels must be an integer, got 2.0$"),
+    (dict(max_rounds=2.5), "^max_rounds must be an integer, got 2.5$"),
+], ids=["period-nan", "epsilon-nan", "steady-tol-nan", "guard-time-nan", "alpha-nan",
+        "n-fraction", "n-bool", "channels-float", "max-rounds-fraction"])
+def test_config_rejects_nan_and_non_integers(kw, match):
+    # a NaN period used to build and fail inside run() with an IndexError
+    # from the fire queue; a NaN epsilon ran to its cap
+    with pytest.raises(ValueError, match=match):
+        single_channel_config(**kw)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = single_channel_config(n=np.int64(4), max_rounds=np.int32(3))
+    assert Simulation(cfg).run().report.rounds <= 3
+
+
 def test_next_fire_is_a_read_only_snapshot():
     # a write would bypass the fire queue and leave the node never firing
     sim = Simulation(SimConfig(n=6, rng_seed=1))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from desynclab import SimConfig, Simulation
+from desynclab.eventsim import STEADY_ROUNDS
 from desynclab.objectives import gap_residual
 
 
@@ -162,17 +163,16 @@ def reference_record(sim, offsets):
     return vectors, total
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_records_match_per_channel_reference(name):
-    # the digests do not cover per_channel; every record's vectors, objective
-    # and order-change flag are rebuilt here one channel at a time
-    sim = FireLog(SimConfig(**CONFIGS[name]))
-    res = sim.run()
+def check_records(sim, records):
+    """Rebuild each record's vectors, objective and order-change flag one
+    channel at a time, from the channels as they are now and the fire log;
+    the records must come from one run() over that membership. Returns the
+    number of order changes."""
     kth_fire = [[] for _ in range(sim.config.n)]
     for ev in sim.fires:
         kth_fire[ev.node_id].append(ev.time)
     prev_order, changes = None, 0
-    for rec in res.trace:
+    for rec in records:
         vectors, objective = reference_record(sim, rec.offsets_by_node)
         assert len(rec.per_channel) == len(vectors)
         assert all(np.array_equal(a, b) for a, b in zip(rec.per_channel, vectors))
@@ -186,7 +186,46 @@ def test_records_match_per_channel_reference(name):
             prev_order = order
         assert rec.order_changed == changed
         changes += changed
-    assert changes == res.order_change_rounds
+    return changes
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_records_match_per_channel_reference(name):
+    # the digests do not cover per_channel; every record's vectors, objective
+    # and order-change flag are rebuilt here one channel at a time
+    sim = FireLog(SimConfig(**CONFIGS[name]))
+    res = sim.run()
+    assert check_records(sim, res.trace) == res.order_change_rounds
+
+
+def test_records_after_swaps_match_per_channel_reference():
+    # the swaps move nodes (and Sync roles) between channels after the
+    # member layout was built; the records of a further run must use the
+    # new membership
+    sim, _ = swap_run(FireLog)
+    sim.config.epsilon = 1e-300  # run on to a steady state, not stop at once
+    start = len(sim.trace)
+    res = sim.run()
+    assert res.steady_round is not None and len(res.trace) - start > STEADY_ROUNDS
+    check_records(sim, res.trace[start:])
+
+
+def test_records_after_mid_run_balancing_match_per_channel_reference():
+    sim = FireLog(SimConfig(n=10, channels=4, rng_seed=2, balance=False, epsilon=1e-6,
+                            initial_channels=np.array([0] * 7 + [1, 1, 3]),
+                            max_rounds=3000))
+    first = sim.run()
+    assert first.report.rounds < 3000 and sim.occupancy() == [7, 2, 0, 1]
+    sim.balance_channels()
+    assert sorted(sim.occupancy()) == [2, 2, 3, 3]
+    # complete a round unrecorded, so that the next run's first order is
+    # compared with none rather than with the last one before the balancing
+    for _ in range(2 * sim.config.n):
+        sim.step()
+    start = len(sim.trace)
+    res = sim.run()
+    assert len(res.trace) - start > 10
+    check_records(sim, res.trace[start:])
 
 
 class ScanOracle(Simulation):

@@ -256,6 +256,30 @@ def test_replaced_spec_fails_with_the_parse_message(key, field, value):
     assert str(replaced.value) == str(parsed.value)
 
 
+@pytest.mark.parametrize("kw, match", [
+    (dict(n=4.5), "^n must be an integer, got 4.5$"),
+    (dict(trials=True), "^trials must be an integer, got True$"),
+    (dict(seed_base=1.5), "^seed_base must be an integer, got 1.5$"),
+    (dict(workers="2"), "^workers must be an integer, got '2'$"),
+    (dict(max_rounds=10.5), "^max_rounds must be an integer, got 10.5$"),
+    (dict(epsilons=(float("nan"),)), "^epsilon must be > 0: nan$"),
+], ids=["n-fraction", "trials-bool", "seed-fraction", "workers-string", "max-rounds-fraction",
+        "epsilon-nan"])
+def test_constructed_spec_checks_integers_and_nan(kw, match):
+    # before, these built, and run_sweep failed later with numpy's errors
+    # or a plain ValueError
+    with pytest.raises(SpecError, match=match):
+        ExperimentSpec(**{"mode": "desync", "n": 4, **kw})
+    with pytest.raises(SpecError, match=match):
+        replace(ExperimentSpec(mode="desync", n=4), **kw)
+
+
+def test_constructed_spec_normalises_integral_floats():
+    spec = ExperimentSpec(mode="much", channels=3.0, nodes_per_channel=4, trials=2.0)
+    assert (spec.channels, spec.trials) == (3, 2)
+    assert type(spec.channels) is int and type(spec.trials) is int
+
+
 def test_spec_without_a_mode_fails_the_mode_check():
     with pytest.raises(SpecError, match="^mode must be one of .*, got None$"):
         ExperimentSpec(n=4)
