@@ -112,8 +112,8 @@ def test_config_validation_messages(kw, match):
 ], ids=["period-nan", "epsilon-nan", "steady-tol-nan", "guard-time-nan", "alpha-nan",
         "n-fraction", "n-bool", "channels-float", "max-rounds-fraction"])
 def test_config_rejects_nan_and_non_integers(kw, match):
-    # a NaN period used to build and fail inside run() with an IndexError
-    # from the fire queue; a NaN epsilon ran to its cap
+    # built, a NaN period fails inside run() with an IndexError from the
+    # fire queue, and a NaN epsilon runs to the cap without converging
     with pytest.raises(ValueError, match=match):
         single_channel_config(**kw)
 

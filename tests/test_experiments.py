@@ -266,8 +266,8 @@ def test_replaced_spec_fails_with_the_parse_message(key, field, value):
 ], ids=["n-fraction", "trials-bool", "seed-fraction", "workers-string", "max-rounds-fraction",
         "epsilon-nan"])
 def test_constructed_spec_checks_integers_and_nan(kw, match):
-    # before, these built, and run_sweep failed later with numpy's errors
-    # or a plain ValueError
+    # built, these fail later in run_sweep with numpy's errors or a plain
+    # ValueError, and a summary holding them passes load_summary
     with pytest.raises(SpecError, match=match):
         ExperimentSpec(**{"mode": "desync", "n": 4, **kw})
     with pytest.raises(SpecError, match=match):
