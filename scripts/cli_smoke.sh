@@ -35,4 +35,7 @@ rc=0; desynclab sweep --config unread.yaml --out cli-out || rc=$?; test "$rc" -e
 # a summary whose spec fails its checks exits 2, as a config would
 sed 's/"trials": 16/"trials": 0/' cli-out/summary.json > bad-summary.json
 rc=0; desynclab plotdata --summary bad-summary.json --out cli-out/bad || rc=$?; test "$rc" -eq 2
+# so does one whose out_dir is not a string; reading it must not end in a traceback (exit 1)
+sed 's/"out_dir": "cli-out"/"out_dir": 7/' cli-out/summary.json > int-out-summary.json
+rc=0; desynclab plotdata --summary int-out-summary.json || rc=$?; test "$rc" -eq 2
 echo "cli smoke: ok"

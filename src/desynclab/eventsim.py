@@ -114,6 +114,9 @@ class SimConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not self.guard_time >= 0.0:
             raise ValueError(f"guard_time must be >= 0, got {self.guard_time}")
+        for name in ("period", "guard_time"):  # the checks above let inf through
+            if np.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.steady_tol >= 0.0:
             raise ValueError(f"steady_tol must be >= 0, got {self.steady_tol}")
         if self.max_rounds is not None and self.max_rounds < 1:
@@ -133,6 +136,21 @@ class SimConfig:
                 )
             if self.use_nesterov:
                 raise ValueError("assumption1 mode covers the plain update only")
+        if self.initial_phases is not None:
+            phases = np.asarray(self.initial_phases, dtype=np.float64)
+            if phases.shape != (self.n,):
+                raise ValueError(f"initial_phases must have shape ({self.n},)")
+            if not np.isfinite(phases).all():
+                raise ValueError("initial_phases must be finite")
+            self.initial_phases = phases
+        if self.initial_channels is not None:
+            channels = np.asarray(self.initial_channels)
+            if not np.array_equal(channels, np.floor(channels)):
+                raise ValueError("initial_channels must be integers")
+            if (channels.shape != (self.n,) or channels.min() < 0
+                    or channels.max() >= self.channels):
+                raise ValueError("initial_channels out of range")
+            self.initial_channels = channels
 
 
 class NodeState:
@@ -209,23 +227,11 @@ class Simulation:
         self.rng = np.random.default_rng(config.rng_seed)
         n, C, T = config.n, config.channels, config.period
 
-        if config.initial_phases is not None:
-            phases = np.asarray(config.initial_phases, dtype=np.float64)
-            if phases.shape != (n,):
-                raise ValueError(f"initial_phases must have shape ({n},)")
-            if not np.isfinite(phases).all():
-                raise ValueError("initial_phases must be finite")
-            phases = phases % 1.0
-        else:
-            phases = self.rng.random(n)
-        if config.initial_channels is not None:
-            channels = np.asarray(config.initial_channels)
-            if not np.array_equal(channels, np.floor(channels)):
-                raise ValueError("initial_channels must be integers")
-            if channels.shape != (n,) or channels.min() < 0 or channels.max() >= C:
-                raise ValueError("initial_channels out of range")
-        else:
-            channels = self.rng.integers(0, C, size=n)
+        # the phases are drawn before the channels: traces depend on that order
+        phases = (self.rng.random(n) if config.initial_phases is None
+                  else config.initial_phases % 1.0)
+        channels = (self.rng.integers(0, C, size=n) if config.initial_channels is None
+                    else config.initial_channels)
 
         self.nodes = [NodeState(i, int(channels[i]), float(phases[i])) for i in range(n)]
         self.time = 0.0

@@ -14,6 +14,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import product
 from typing import NamedTuple
 from operator import attrgetter
 
@@ -22,7 +23,7 @@ import yaml
 
 from .bounds import FAST_GUARANTEE_ALPHA_MAX, desync_round_bound, fast_desync_round_bound
 from .eventsim import SimConfig, SimulationResult, TraceRecord, run_simulation
-from .problems import MultichannelProblem, SingleChannelProblem
+from .problems import MultichannelProblem, SingleChannelProblem, SpecError
 from .rounds import default_max_rounds
 from .spectral import spectral_report
 from .trials import (
@@ -69,21 +70,19 @@ EXIT_BOUND_VIOLATION = 3
 EXIT_TRIAL_FAILURE = 4
 
 
-class SpecError(ValueError):
-    """Invalid experiment configuration."""
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One study. Checked wherever it is built (parsed, constructed,
-    replaced or loaded), with its two mode-dependent defaults filled: the
-    alpha grid, paired or plain, and event-sim's single channel."""
+    """One study. Read and checked wherever it is built (parsed,
+    constructed, replaced or loaded): each field by the reader of its type,
+    under its config key's name; a `| None` field takes None as "not given".
+    Then its two mode defaults are filled: the alpha grid, paired or plain,
+    and event-sim's single channel."""
 
     mode: str | None = None  # no default mode: None fails the mode check
     n: int | None = None
     channels: int | None = None
     nodes_per_channel: int | None = None
-    alphas: tuple[float, ...] = ()
+    alphas: tuple[float, ...] | None = None
     gammas: tuple[float, ...] = DEFAULT_GAMMAS
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
     trials: int = DEFAULT_TRIALS
@@ -96,26 +95,26 @@ class ExperimentSpec:
 
     def __post_init__(self):
         mode = self.mode
+        # the choice fields are checked first, so any wrong value gets its choice message
         if mode not in MODES:
             raise SpecError(f"mode must be one of {MODES}, got {mode!r}")
-        for name in ("n", "channels", "nodes_per_channel", "max_rounds"):  # None: not given
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        for name in ("trials", "seed_base", "workers"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if not self.alphas:
+        if self.staleness_mode not in ("live", "assumption1"):
+            raise SpecError(f"unknown staleness_mode: {self.staleness_mode!r}")
+        for key, (name, _) in _SPEC_KEYS.items():
+            value = getattr(self, name)
+            kind, _, optional = self.__dataclass_fields__[name].type.partition(" | ")
+            if value is not None or not optional:
+                object.__setattr__(self, name, _READERS[kind](value, key))
+        if self.alphas is None:
             paired = mode in ("fast-desync", "fast-much")
-            object.__setattr__(self, "alphas",
-                               DEFAULT_ALPHAS_PAIRED if paired else DEFAULT_ALPHAS)
+            object.__setattr__(self, "alphas", DEFAULT_ALPHAS_PAIRED if paired else DEFAULT_ALPHAS)
         if mode == "event-sim" and self.channels is None:
             object.__setattr__(self, "channels", 1)
 
-        for a in self.alphas:
-            if not 0.0 < a < 1.0:
-                raise SpecError(f"alpha out of (0,1): {a}")
-        for g in self.gammas:
-            if not 0.0 < g < 1.0:
-                raise SpecError(f"gamma out of (0,1): {g}")
+        for key, grid in (("alpha", self.alphas), ("gamma", self.gammas)):
+            for v in grid:
+                if not 0.0 < v < 1.0:
+                    raise SpecError(f"{key} out of (0,1): {v}")
         for e in self.epsilons:
             if not e > 0.0:
                 raise SpecError(f"epsilon must be > 0: {e}")
@@ -143,8 +142,6 @@ class ExperimentSpec:
             raise SpecError(f"workers must be >= 1, got {self.workers}")
         if not 0.0 <= self.loss_probability < 1.0:
             raise SpecError(f"loss_probability out of [0,1): {self.loss_probability}")
-        if self.staleness_mode not in ("live", "assumption1"):
-            raise SpecError(f"unknown staleness_mode: {self.staleness_mode!r}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise SpecError("max_rounds must be >= 1")
 
@@ -184,45 +181,48 @@ def _as_str(value, name: str) -> str:
     return value
 
 
-def _as_given(value, name: str):
-    """mode and staleness_mode: checked against their choices by
-    ExperimentSpec."""
-    return value
+# The reader of each ExperimentSpec field type, by its annotation.
+_READERS = {"int": _as_int, "float": _as_float, "str": _as_str, "tuple[float, ...]": _as_grid}
 
 
 class _Key(NamedTuple):
     field: str     # the ExperimentSpec field the key sets
-    read: object   # the reader of its value
     modes: tuple   # the modes that read it
 
-# Every YAML config key. A key with no value (YAML null) is rejected by its
-# reader like any other wrong type; an absent key takes ExperimentSpec's
-# default. A config may give only keys its mode reads.
+# Every YAML config key. An absent key takes ExperimentSpec's default. A
+# config may give only keys its mode reads.
 _SPEC_KEYS = {
-    "mode": _Key("mode", _as_given, MODES),
-    "n": _Key("n", _as_int, (*_SINGLE, "event-sim")),
-    "channels": _Key("channels", _as_int, (*_MULTI, "event-sim")),
-    "nodes_per_channel": _Key("nodes_per_channel", _as_int, _MULTI),
-    "alpha": _Key("alphas", _as_grid, MODES),
-    "gamma": _Key("gammas", _as_grid, (*_MULTI, "event-sim")),
-    "epsilon": _Key("epsilons", _as_grid, MODES),
-    "trials": _Key("trials", _as_int, MODES),
-    "seed_base": _Key("seed_base", _as_int, MODES),
-    "out": _Key("out_dir", _as_str, MODES),
-    "max_rounds": _Key("max_rounds", _as_int, MODES),
-    "loss_probability": _Key("loss_probability", _as_float, ("event-sim",)),
-    "staleness_mode": _Key("staleness_mode", _as_given, ("event-sim",)),
-    "workers": _Key("workers", _as_int, MODES),
+    "mode": _Key("mode", MODES),
+    "n": _Key("n", (*_SINGLE, "event-sim")),
+    "channels": _Key("channels", (*_MULTI, "event-sim")),
+    "nodes_per_channel": _Key("nodes_per_channel", _MULTI),
+    "alpha": _Key("alphas", MODES),
+    "gamma": _Key("gammas", (*_MULTI, "event-sim")),
+    "epsilon": _Key("epsilons", MODES),
+    "trials": _Key("trials", MODES),
+    "seed_base": _Key("seed_base", MODES),
+    "out": _Key("out_dir", MODES),
+    "max_rounds": _Key("max_rounds", MODES),
+    "loss_probability": _Key("loss_probability", ("event-sim",)),
+    "staleness_mode": _Key("staleness_mode", ("event-sim",)),
+    "workers": _Key("workers", MODES),
 }
 
 
+class _NoValue:
+    """A config key written with no value (YAML null). None would read as
+    "not given"; this fails every check, reported as None."""
+
+    def __repr__(self):
+        return "None"
+
+
 def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
-    """Parse a YAML experiment config. Unknown keys are rejected, each key
-    the config gives is read by its reader (`_SPEC_KEYS`), and the spec is
-    built, which checks it and fills its defaults. `overrides` replace
-    config keys before they are read, so they pass the same checks as the
-    file's own values. A key the mode does not read is rejected after every
-    other check."""
+    """Parse a YAML experiment config. Unknown keys are rejected; the spec
+    built from the given keys reads and checks their values. `overrides`
+    replace config keys first, so they pass the same checks as the file's
+    own values. A key the mode does not read is rejected after every other
+    check."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -235,7 +235,7 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     unknown = set(raw) - set(_SPEC_KEYS)
     if unknown:
         raise SpecError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    spec = ExperimentSpec(**{_SPEC_KEYS[key].field: _SPEC_KEYS[key].read(value, key)
+    spec = ExperimentSpec(**{_SPEC_KEYS[key].field: _NoValue() if value is None else value
                              for key, value in raw.items()})
     unread = sorted(key for key in raw if spec.mode not in _SPEC_KEYS[key].modes)
     if unread:
@@ -441,27 +441,17 @@ class SpectraRow:
 
 def certify_spectra(ns, cs, betas, gammas) -> list[SpectraRow]:
     """Closed-form deflated spectral radius and eigenvalue-1 multiplicity
-    over a parameter grid; out-of-range parameters are rejected outright."""
-    for b in betas:
-        if not 0.0 < b < 0.5:
-            raise SpecError(f"beta out of (0, 1/2): {b}")
-    for g in gammas:
-        if not 0.0 < g < 1.0:
-            raise SpecError(f"gamma out of (0, 1): {g}")
+    over a parameter grid; MultichannelProblem rejects an out-of-range
+    point with SpecError."""
     rows = []
-    for n in ns:
-        for C in cs:
-            for b in betas:
-                for g in gammas:
-                    rep = spectral_report(MultichannelProblem.uniform(C, n, b, g))
-                    rows.append(
-                        SpectraRow(
-                            n=n, channels=C, beta=b, gamma=g,
-                            spectral_radius_deflated=rep.spectral_radius_deflated,
-                            eigenvalue_one_multiplicity=rep.eigenvalue_one_multiplicity,
-                            passed=rep.converges and rep.eigenvalue_one_multiplicity == 1,
-                        )
-                    )
+    for n, C, b, g in product(ns, cs, betas, gammas):
+        rep = spectral_report(MultichannelProblem.uniform(C, n, b, g))
+        rows.append(SpectraRow(
+            n=n, channels=C, beta=b, gamma=g,
+            spectral_radius_deflated=rep.spectral_radius_deflated,
+            eigenvalue_one_multiplicity=rep.eigenvalue_one_multiplicity,
+            passed=rep.converges and rep.eigenvalue_one_multiplicity == 1,
+        ))
     return rows
 
 
@@ -565,9 +555,8 @@ def load_summary(path) -> SweepResult:
     if not isinstance(doc, dict) or not isinstance(doc.get("spec"), dict):
         raise SpecError(f"{path} is not a sweep summary: no spec object")
     names = {f.name for f in fields(ExperimentSpec)}
+    spec = ExperimentSpec(**{k: v for k, v in doc["spec"].items() if k in names})
     try:
-        spec = ExperimentSpec(**{k: tuple(v) if isinstance(v, list) else v
-                                 for k, v in doc["spec"].items() if k in names})
         rows = [SweepRow(**r) for r in doc.get("rows")]
     except TypeError as exc:
         raise SpecError(f"{path} is not a sweep summary: {exc}") from exc

@@ -13,6 +13,10 @@ from typing import Sequence
 import numpy as np
 
 
+class SpecError(ValueError):
+    """Invalid problem or experiment configuration."""
+
+
 def alpha_to_beta(alpha: float) -> float:
     """Jump-phase parameter -> gradient step size (beta = alpha/2)."""
     return alpha / 2.0
@@ -51,11 +55,11 @@ class SingleChannelProblem:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+            raise SpecError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha out of (0,1): {self.alpha}")
+            raise SpecError(f"alpha out of (0,1): {self.alpha}")
         if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+            raise SpecError(f"epsilon must be > 0, got {self.epsilon}")
 
     @property
     def beta(self) -> float:
@@ -78,13 +82,13 @@ class MultichannelProblem:
         counts = tuple(int(c) for c in self.channel_counts)
         object.__setattr__(self, "channel_counts", counts)
         if len(counts) < 2:
-            raise ValueError(f"need at least 2 channels, got {len(counts)}")
+            raise SpecError(f"need at least 2 channels, got {len(counts)}")
         if any(c < 2 for c in counts):
-            raise ValueError(f"every channel needs >= 2 nodes, got {counts}")
+            raise SpecError(f"every channel needs >= 2 nodes, got {counts}")
         if not 0.0 < self.beta < 0.5:
-            raise ValueError(f"beta out of (0, 1/2): {self.beta}")
+            raise SpecError(f"beta out of (0, 1/2): {self.beta}")
         if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma out of (0, 1): {self.gamma}")
+            raise SpecError(f"gamma out of (0, 1): {self.gamma}")
 
     @classmethod
     def uniform(cls, channels: int, nodes_per_channel: int, beta: float, gamma: float) -> "MultichannelProblem":

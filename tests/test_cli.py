@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -273,3 +274,25 @@ def test_plotdata_rejects_a_malformed_summary(tmp_path, capsys, edit):
     assert main(["plotdata", "--summary", str(summary), "--out", str(replot)]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: ")
     assert not replot.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("out_dir", 7, "out must be a string, got 7"),
+    ("loss_probability", False, "loss_probability must be a finite number, got False"),
+    ("epsilons", [math.inf], "epsilon must be a finite number, got inf"),
+], ids=["out-dir-int", "loss-bool", "epsilon-infinity"])
+def test_plotdata_rejects_a_summary_value_a_config_rejects(tmp_path, monkeypatch, capsys,
+                                                           field, value, message):
+    cfg = write(
+        tmp_path, "sweep.yaml",
+        "mode: desync\nn: 4\nalpha: [0.5]\nepsilon: [1.0e-3]\ntrials: 3\n",
+    )
+    main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+    summary = tmp_path / "out" / "summary.json"
+    doc = json.loads(summary.read_text())
+    doc["spec"][field] = value
+    summary.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    # without --out, plotdata writes under the summary's own out_dir
+    assert main(["plotdata", "--summary", str(summary)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"

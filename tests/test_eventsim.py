@@ -109,13 +109,30 @@ def test_config_validation_messages(kw, match):
     (dict(n=True), "^n must be an integer, got True$"),
     (dict(channels=2.0), "^channels must be an integer, got 2.0$"),
     (dict(max_rounds=2.5), "^max_rounds must be an integer, got 2.5$"),
+    (dict(period=np.inf), "^period must be finite, got inf$"),
+    (dict(guard_time=np.inf), "^guard_time must be finite, got inf$"),
 ], ids=["period-nan", "epsilon-nan", "steady-tol-nan", "guard-time-nan", "alpha-nan",
-        "n-fraction", "n-bool", "channels-float", "max-rounds-fraction"])
+        "n-fraction", "n-bool", "channels-float", "max-rounds-fraction", "period-inf",
+        "guard-time-inf"])
 def test_config_rejects_nan_and_non_integers(kw, match):
     # built, a NaN period fails inside run() with an IndexError from the
     # fire queue, and a NaN epsilon runs to the cap without converging
     with pytest.raises(ValueError, match=match):
         single_channel_config(**kw)
+
+
+@pytest.mark.parametrize("kw, match", [
+    (dict(initial_phases=np.zeros(3)), r"^initial_phases must have shape \(4,\)$"),
+    (dict(initial_phases=np.array([0.1, np.nan, 0.3, 0.4])), "^initial_phases must be finite$"),
+    (dict(initial_channels=np.array([0, 1, 2, 0])), "^initial_channels out of range$"),
+    (dict(initial_channels=np.array([0.5, 1.7, 0.0, 1.0])), "^initial_channels must be integers$"),
+], ids=["phase-shape", "phase-nan", "channel-too-high", "channel-fractional"])
+def test_config_checks_its_initial_state_when_built_or_replaced(kw, match):
+    # no Simulation is built: a config is valid by construction
+    with pytest.raises(ValueError, match=match):
+        single_channel_config(channels=2, **kw)
+    with pytest.raises(ValueError, match=match):
+        replace(single_channel_config(channels=2), **kw)
 
 
 def test_config_accepts_numpy_integers():

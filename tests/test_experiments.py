@@ -1,7 +1,7 @@
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -262,7 +262,7 @@ def test_replaced_spec_fails_with_the_parse_message(key, field, value):
     (dict(seed_base=1.5), "^seed_base must be an integer, got 1.5$"),
     (dict(workers="2"), "^workers must be an integer, got '2'$"),
     (dict(max_rounds=10.5), "^max_rounds must be an integer, got 10.5$"),
-    (dict(epsilons=(float("nan"),)), "^epsilon must be > 0: nan$"),
+    (dict(epsilons=(float("nan"),)), "^epsilon must be a finite number, got nan$"),
 ], ids=["n-fraction", "trials-bool", "seed-fraction", "workers-string", "max-rounds-fraction",
         "epsilon-nan"])
 def test_constructed_spec_checks_integers_and_nan(kw, match):
@@ -272,6 +272,62 @@ def test_constructed_spec_checks_integers_and_nan(kw, match):
         ExperimentSpec(**{"mode": "desync", "n": 4, **kw})
     with pytest.raises(SpecError, match=match):
         replace(ExperimentSpec(mode="desync", n=4), **kw)
+
+
+EVENT_SIM = "mode: event-sim\nn: 4\n"
+
+
+def _spec_paths(tmp_path, key, text, value):
+    """The four ways to an event-sim spec with config key `key` set: YAML
+    `text` through parse_spec, and the Python `value` through construction,
+    dataclasses.replace and a summary.json read by load_summary."""
+    field = _SPEC_KEYS[key].field
+
+    def loaded():
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"spec": {**asdict(parse_spec(EVENT_SIM)), field: value},
+                                    "rows": []}))
+        return load_summary(path).spec
+
+    return {
+        "parse_spec": lambda: parse_spec(f"{EVENT_SIM}{key}: {text}\n"),
+        "constructed": lambda: ExperimentSpec(**{"mode": "event-sim", "n": 4, field: value}),
+        "replaced": lambda: replace(parse_spec(EVENT_SIM), **{field: value}),
+        "load_summary": loaded,
+    }
+
+
+@pytest.mark.parametrize("key, text, value, message", [
+    ("loss_probability", "false", False, "loss_probability must be a finite number, got False"),
+    ("epsilon", "[1.0e-3, true]", [1e-3, True], "epsilon must be a finite number, got True"),
+    ("epsilon", "[abc]", ["abc"], "epsilon must be a finite number, got 'abc'"),
+    ("loss_probability", "abc", "abc", "loss_probability must be a finite number, got 'abc'"),
+    ("epsilon", "[.inf]", [math.inf], "epsilon must be a finite number, got inf"),
+    ("loss_probability", ".inf", math.inf, "loss_probability must be a finite number, got inf"),
+    ("epsilon", "[.nan]", [math.nan], "epsilon must be a finite number, got nan"),
+    ("loss_probability", ".nan", math.nan, "loss_probability must be a finite number, got nan"),
+    ("out", "7", 7, "out must be a string, got 7"),
+    ("alpha", "[]", [], "alpha must be a nonempty list of numbers"),
+], ids=["bool-float", "bool-grid", "string-grid", "string-float", "inf-grid", "inf-float",
+        "nan-grid", "nan-float", "out-int", "alpha-empty"])
+def test_every_path_rejects_a_bad_value_with_one_message(tmp_path, key, text, value, message):
+    for path, build in _spec_paths(tmp_path, key, text, value).items():
+        with pytest.raises(SpecError) as exc:
+            build()
+        assert str(exc.value) == message, path
+
+
+@pytest.mark.parametrize("key, text, value, read", [
+    ("epsilon", "[1e-3, 2]", ["1e-3", 2], (1e-3, 2.0)),
+    ("loss_probability", "1e-1", "1e-1", 0.1),
+    ("alpha", "[0.5, 0.25]", [0.5, 0.25], (0.5, 0.25)),
+    ("gamma", "0.3", 0.3, (0.3,)),
+], ids=["numeric-strings-grid", "numeric-string-float", "list-grid", "scalar-grid"])
+def test_every_path_reads_a_value_as_parse_spec_does(tmp_path, key, text, value, read):
+    specs = [build() for build in _spec_paths(tmp_path, key, text, value).values()]
+    assert getattr(specs[0], _SPEC_KEYS[key].field) == read
+    assert all(spec == specs[0] for spec in specs)
+    assert len({hash(spec) for spec in specs}) == 1
 
 
 def test_constructed_spec_normalises_integral_floats():
