@@ -254,20 +254,13 @@ class Simulation:
         self._missed: list[set[int]] = [set() for _ in range(C)]
         self._awaiting: list[set[int]] = [set() for _ in range(C)]
 
-        # pending-fire queue keyed (time, channel, node_id), the scan's
-        # tie-break; an entry is live while it matches the node's current
-        # next_fire and channel, so rescheduling or moving a node leaves the
-        # old one to be skipped when popped (it expires within one period)
-        self._queue = [(t, nd.channel, nd.node_id)
-                       for t, nd in zip(self._next_fire, self.nodes)]
-        heapify(self._queue)
-
         self._rebuild_channels()
         if C > 1:
             if config.balance:
-                self.balance_channels()
+                self._balance()
             for c in range(C):
                 self._elect(c)
+        self._requeue()
 
         # analytical-staleness ledger: fixed ring per channel (initial phase
         # order) plus per-node previous iterate values; the current value of
@@ -336,12 +329,28 @@ class Simulation:
     def occupancy(self) -> list:
         return [len(m) for m in self.channel_members]
 
+    def _requeue(self):
+        """Queue every node once at its pending fire, deferring none.
+
+        The fire queue is a heap keyed (time, channel, node_id), the scan's
+        tie-break. An entry is live while it matches the node's current
+        next_fire and channel; an update leaves the old one to be skipped
+        when popped (it expires within one period). A node has at most one
+        live entry, and a deferred node none: step() leaves a Desync firer
+        unqueued while another Desync member of its channel is queued
+        strictly ahead of it, since that channel's next fire queues it. A
+        move or an election can break that, so they requeue everything."""
+        self._queue = [(t, nd.channel, nd.node_id)
+                       for t, nd in zip(self._next_fire, self.nodes)]
+        heapify(self._queue)
+        # each channel's deferred firer, or -1
+        self._deferred = [-1] * self.config.channels
+
     def _move(self, nid: int, channel: int):
-        """Move a node to another channel; roles are left to the caller. The
-        node carries what it heard and whether it awaits an update, counts
-        as a misser in its new channel (its own value authoritative), and
-        its pending fire is requeued under the new channel, part of the
-        queue key."""
+        """Move a node to another channel; roles and the queue, whose key
+        holds the channel, are left to the caller. The node carries what it
+        heard and whether it awaits an update, and counts as a misser in its
+        new channel (its own value authoritative)."""
         node = self.nodes[nid]
         old = node.channel
         node.last_heard_offset = self._heard(node)
@@ -356,16 +365,21 @@ class Simulation:
         members.sort()
         node.channel = channel
         self._layout = None
-        self._schedule(node, self._next_fire[nid])
 
     def balance_channels(self):
         """Greedy channel balancing: the Sync node (smallest id) of an
         over-full channel c jumps to c+1 while n_c - n_{c+1} >= 1 (>= 2 at
-        the wrap edge); every channel it touched re-elects once at the end.
-        Terminates with every occupancy in {floor(n/C), ceil(n/C)}."""
+        the wrap edge); every channel it touched re-elects once at the end,
+        and the queue is rebuilt if a node moved. Terminates with every
+        occupancy in {floor(n/C), ceil(n/C)}."""
+        if self._balance():
+            self._requeue()
+
+    def _balance(self) -> bool:
+        """balance_channels without the requeue; whether a node moved."""
         C = self.config.channels
         if C < 2:
-            return
+            return False
         counts = self.occupancy()
         limit = 10 * self.config.n * C + 100
         switches = 0
@@ -389,6 +403,7 @@ class Simulation:
                 raise RuntimeError("channel balancing failed to terminate")
         for c in sorted(touched):
             self._elect(c)
+        return switches > 0
 
     # ---------------- message loss ----------------
 
@@ -409,14 +424,6 @@ class Simulation:
         snapshot.flags.writeable = False
         return snapshot
 
-    def _schedule(self, node: NodeState, t: float):
-        """Set the node's next fire time and queue it: the Sync, ledger and
-        channel-move reschedules. The two on nearly every fire, the firer's
-        and the Desync update's, do the same inline."""
-        t = float(t)  # queue keys compare faster as Python floats than numpy scalars
-        self._next_fire[node.node_id] = t
-        heappush(self._queue, (t, node.channel, node.node_id))
-
     def _pending_phase(self, node: NodeState, t: float) -> float:
         """The node's phase at time t, read from its pending fire: time-to-fire
         is exact where it matters, while the (t/T + phi) mod 1 form is
@@ -428,10 +435,17 @@ class Simulation:
     def advance_to_next_fire(self) -> FireEvent:
         """Advance the clock to the earliest phase-1 crossing; the firer wraps
         to phase 0 and its next fire is scheduled one period later, in place
-        of its popped queue entry. Ties break on (channel, node_id)."""
+        of its popped queue entry. Ties break on (channel, node_id). No
+        delivery happens, so the fire that would queue a deferred node may
+        never come: every deferred node is queued first. step() fires
+        without this method."""
         if not self.nodes:
             raise RuntimeError("empty network: no node can fire")
         queue, next_fire, nodes = self._queue, self._next_fire, self.nodes
+        for c, nid in enumerate(self._deferred):
+            if nid >= 0:
+                self._deferred[c] = -1
+                heappush(queue, (next_fire[nid], c, nid))
         t, ch, nid = queue[0]
         while t != next_fire[nid] or ch != nodes[nid].channel:
             heappop(queue)
@@ -456,12 +470,31 @@ class Simulation:
         """Fire the next node and announce the fire to its channel. Only the
         members that miss it are touched one by one: they keep the previous
         announcement, everyone else reads the channel's latest. The Desync
-        members awaiting an update that heard it update, in ascending id."""
-        event = self.advance_to_next_fire()
-        t, firer_id, c = event
-        cfg = self.config
-        announced = (1.0 - t / cfg.period) % 1.0
+        members awaiting an update that heard it update, in ascending id.
+
+        The queue work is done here, not in advance_to_next_fire: the fired
+        entry stays at the top of the queue until the step's first push
+        takes its slot. The channel's deferred firer is queued at its
+        updated time, or at its pending one if it missed the fire or its
+        cache was cold; a Desync firer is deferred in turn when another
+        Desync member is queued strictly ahead of it (see _requeue)."""
         nodes = self.nodes
+        if not nodes:
+            raise RuntimeError("empty network: no node can fire")
+        queue, next_fire = self._queue, self._next_fire
+        t, c, firer_id = queue[0]
+        while t != next_fire[firer_id] or c != nodes[firer_id].channel:
+            heappop(queue)
+            t, c, firer_id = queue[0]
+        self.time = t
+        firer = nodes[firer_id]
+        firer.fire_count += 1
+        self._rounds[firer.fire_count][firer_id] = t
+        cfg = self.config
+        t_next = next_fire[firer_id] = t + cfg.period
+        # FireEvent(...) would run the named tuple's Python-level __new__
+        event = tuple.__new__(FireEvent, (t, firer_id, c))
+        announced = (1.0 - t / cfg.period) % 1.0
         sync = self.sync_of[c]
         # Sync nodes take no in-channel coupling
         missed = {firer_id} if sync is None else {firer_id, sync}
@@ -473,6 +506,8 @@ class Simulation:
         latest = self._latest[c]
         for nid in missed - self._missed[c]:
             nodes[nid].last_heard_offset = latest
+        push = heapreplace  # until the fired entry's slot is taken
+        deferred = self._deferred[c]
         awaiting = self._awaiting[c]
         ready = awaiting - missed
         if ready:
@@ -480,19 +515,47 @@ class Simulation:
             update = self._on_fire_desync
             # in ascending id, the member order; one node needs no sort
             for nid in sorted(ready) if len(ready) > 1 else ready:
+                pending = next_fire[nid]
                 update(nodes[nid], event, announced)
+                if next_fire[nid] != pending and nid != deferred:
+                    push(queue, (next_fire[nid], c, nid))
+                    push = heappush
+        if deferred >= 0:
+            self._deferred[c] = -1
+            push(queue, (next_fire[deferred], c, deferred))
+            push = heappush
         self._latest[c] = announced
         self._missed[c] = missed
         if firer_id != sync:
             awaiting.add(firer_id)
-        elif c:  # a Sync firer on a channel after the first
+            # every other member is queued now; the first Desync one
+            # (or, lacking one, the firer itself, which never leads)
+            lead = firer_id
+            for nid in self.channel_members[c]:
+                if nid != firer_id and nid != sync:
+                    lead = nid
+                    break
+            t_lead = next_fire[lead]
+            if t_lead < t_next or (t_lead == t_next and lead < firer_id):
+                self._deferred[c] = firer_id
+            else:
+                push(queue, (t_next, c, firer_id))
+                push = heappush
+        else:
+            push(queue, (t_next, c, firer_id))
+            push = heappush
             # chain topology: channel c-1 syncs to channel c; the wrap edge
             # (last channel listening to channel 0) is dropped, making the
             # last channel's Sync the free-running reference
-            watcher = self.sync_of[c - 1]
+            watcher = self.sync_of[c - 1] if c else None
             if watcher is not None and watcher != firer_id:
                 if self.message_delivered(watcher, firer_id):
+                    pending = next_fire[watcher]
                     self._on_fire_sync(nodes[watcher], event, announced)
+                    if next_fire[watcher] != pending:
+                        push(queue, (next_fire[watcher], c - 1, watcher))
+        if push is heapreplace:
+            heappop(queue)
         if not self._keep_rounds:
             self._free_round()
         return event
@@ -546,10 +609,8 @@ class Simulation:
             listener.phi = new_pos
             theta_new = p_new
         # p_new is the listener's new phase at the fire instant; scheduling
-        # from it directly avoids another mod-1 roundtrip. Queued inline, as
-        # _schedule would: this runs on nearly every fire
-        t_next = next_fire[nid] = t + period * (1.0 - theta_new)
-        heappush(self._queue, (t_next, listener.channel, nid))
+        # from it directly avoids another mod-1 roundtrip. step() queues it
+        next_fire[nid] = t + period * (1.0 - theta_new)
 
     def _ledger_value(self, nid: int, index: int) -> float:
         """A node's ledger value at update index `index`: the previous one
@@ -560,12 +621,14 @@ class Simulation:
         return node.phi
 
     def _ledger_commit(self, node: NodeState, value: float, t: float):
-        """Record a ledger update's new value and reschedule from it."""
+        """Record a ledger update's new value and reschedule from it (step()
+        queues it)."""
         self._led_prev[node.node_id] = node.phi
         node.update_count += 1
         node.phi = value
         T = self.config.period
-        self._schedule(node, t + T * (1.0 - (t / T + value) % 1.0))
+        # queue keys compare faster as Python floats than numpy scalars
+        self._next_fire[node.node_id] = float(t + T * (1.0 - (t / T + value) % 1.0))
 
     def _ledger_desync_update(self, listener: NodeState, event: FireEvent):
         """Analytical-model update: neighbours' values are read at the
@@ -609,7 +672,7 @@ class Simulation:
         theta_new = self._sync_pull(self._pending_phase(listener, t))
         listener.update_count += 1
         listener.phi = (theta_new - t / period) % 1.0
-        self._schedule(listener, t + period * (1.0 - theta_new))
+        self._next_fire[listener.node_id] = t + period * (1.0 - theta_new)  # step() queues it
 
     # ---------------- rounds, objective, trace ----------------
 
@@ -789,6 +852,7 @@ class Simulation:
         if a.role == "sync":
             self.sync_of[cb] = node_a
             self.sync_of[ca] = node_b
+        self._requeue()
 
 
 def run_simulation(config: SimConfig) -> SimulationResult:

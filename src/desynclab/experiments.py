@@ -12,14 +12,12 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import product
 from typing import NamedTuple
 from operator import attrgetter
 
 import numpy as np
-import yaml
 
 from .bounds import FAST_GUARANTEE_ALPHA_MAX, desync_round_bound, fast_desync_round_bound
 from .eventsim import SimConfig, SimulationResult, TraceRecord, run_simulation
@@ -223,6 +221,8 @@ def parse_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     replace config keys first, so they pass the same checks as the file's
     own values. A key the mode does not read is rejected after every other
     check."""
+    import yaml  # imported on first use: it weighs on every `import desynclab`
+
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -383,6 +383,9 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
         worker = _eventsim_point
 
     if spec.workers > 1:
+        # imported on first use, like yaml in parse_spec
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             chunks = list(pool.map(worker, points))
     else:

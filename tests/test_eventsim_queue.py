@@ -279,6 +279,151 @@ def test_queue_breaks_exact_cross_channel_tie_on_channel():
     assert sim.run().report.converged
 
 
+def live_entries(sim):
+    """How many live fire-queue entries each node has: entries that match its
+    pending fire time and its channel."""
+    counts = [0] * sim.config.n
+    for t, ch, nid in sim._queue:
+        if t == sim._next_fire[nid] and ch == sim.nodes[nid].channel:
+            counts[nid] += 1
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_fresh_queue_holds_one_entry_per_node(name):
+    # balancing moves nodes before the queue is built, so no move leaves a
+    # stale entry behind
+    sim = Simulation(SimConfig(**CONFIGS[name]))
+    assert sorted(sim._queue) == sorted(
+        (sim._next_fire[i], nd.channel, i) for i, nd in enumerate(sim.nodes))
+
+
+def test_each_node_has_one_live_entry_unless_deferred():
+    cfg = SimConfig(**CONFIGS["wide"])
+    n, C = cfg.n, cfg.channels
+    sim = Simulation(cfg)
+    deferrals = 0
+    for _ in range(10 * n):
+        sim.step()
+        assert len(sim._queue) < n + C
+        deferred = {d for d in sim._deferred if d >= 0}
+        assert live_entries(sim) == [0 if i in deferred else 1 for i in range(n)]
+        deferrals += len(deferred)
+    # the deferral is the common case at 8 members per channel
+    assert deferrals > 5 * n
+
+
+def single_channel(n):
+    return SimConfig(n=n, channels=1, alpha=0.5, epsilon=1e-3, rng_seed=0)
+
+
+def pending_fires(sim, times):
+    """Put the nodes' pending fires at the given times, then requeue."""
+    sim._next_fire[:] = [float(t) for t in times]
+    sim._requeue()
+    return sim
+
+
+def test_firer_tied_with_a_higher_id_member_stays_queued():
+    # node 0's next fire, t + T, ties with nodes 1 and 2, which sort after it
+    T, t = 0.1, 0.01
+    sim = pending_fires(ScanOracle(single_channel(n=3)), [t, t + T, t + T])
+    assert sim.step().node_id == 0 and sim._deferred == [-1]
+    assert [sim.step().node_id for _ in range(3)] == [0, 1, 2]
+
+
+def test_firer_tied_with_a_lower_id_member_is_deferred():
+    # node 2's next fire, t + T, ties with node 0, which sorts before it, so
+    # node 0's fire comes first and queues node 2
+    T, t = 0.1, 0.01
+    sim = pending_fires(ScanOracle(single_channel(n=3)), [t + T, t + T, t])
+    assert sim.step().node_id == 2 and sim._deferred == [2]
+    assert [sim.step().node_id for _ in range(3)] == [0, 1, 2]
+    assert sim._deferred == [2]  # deferred again behind nodes 0 and 1
+
+
+def test_firer_is_not_deferred_behind_a_sync_node():
+    # a Sync pull can move a fire later: channel 1's Sync (node 2) pulls
+    # channel 0's (node 0) from 0.10 to 0.112, past node 1's next fire at 0.11
+    sim = ScanOracle(SimConfig(n=3, channels=2, balance=False,
+                               initial_channels=np.array([0, 0, 1])))
+    pending_fires(sim, [0.10, 0.01, 0.02])
+    assert [sim.step().node_id for _ in range(4)] == [1, 2, 1, 0]
+
+
+def test_bare_advance_queues_deferred_nodes():
+    # the first step defers its firer behind the other node; the bare
+    # advance fires that node without delivering, so only the advance
+    # itself can queue the deferred one
+    sim = ScanOracle(single_channel(n=2))
+    first = sim.step()
+    assert sim._deferred == [first.node_id]
+    assert sim.advance_to_next_fire().node_id != first.node_id
+    assert sim.step().node_id == first.node_id
+
+
+def test_sync_pull_to_the_current_instant_fires_at_once():
+    # channel 1's Sync fires at t; channel 0's Sync, pending one ulp later,
+    # is pulled to phase exactly 1 and requeued at t, under a key that sorts
+    # before the fired entry's
+    t = 0.05
+    sim = ScanOracle(SimConfig(n=2, channels=2, initial_channels=np.array([0, 1])))
+    pending_fires(sim, [np.nextafter(t, 1.0), t])
+    first, second = sim.step(), sim.step()
+    assert (first.node_id, second.node_id) == (1, 0)
+    assert first.time == second.time == t
+    assert sim.step().time > t
+
+
+def test_steps_advances_balancing_and_swaps_keep_every_node_firing():
+    # bare advances deliver nothing, so the fires that would queue deferred
+    # nodes never come; balancing and swaps move nodes between channels
+    sim = ScanOracle(SimConfig(n=6, channels=2, alpha=0.6, gamma=0.6, epsilon=1e-12,
+                               rng_seed=11, balance=False, max_rounds=60000,
+                               initial_channels=np.array([0, 0, 0, 0, 1, 0])))
+    rng = np.random.default_rng(13)
+    flushed = 0
+
+    def fire_everywhere(k):
+        """k fires, every fifth a bare advance checked against the scan; every
+        node must fire."""
+        nonlocal flushed
+        before = [nd.fire_count for nd in sim.nodes]
+        for j in range(k):
+            if j % 5 != 2:
+                sim.step()
+                continue
+            flushed += any(d >= 0 for d in sim._deferred)
+            next_fire = sim.next_fire
+            expected = min((next_fire[i], nd.channel, i) for i, nd in enumerate(sim.nodes))
+            ev = sim.advance_to_next_fire()
+            assert (ev.time, ev.channel, ev.node_id) == expected
+        assert all(nd.fire_count > b for nd, b in zip(sim.nodes, before))
+
+    # ScanOracle checks the round counter inside run(), so run() comes first
+    assert sim.run().report.converged
+    fire_everywhere(60)
+    sim.balance_channels()
+    assert sim.occupancy() == [3, 3]
+    fire_everywhere(60)
+    for _ in range(10):
+        assert sim.run().report.converged  # a swap needs a converged network
+        for _ in range(6):  # clear of the beacon guard window
+            if sim.next_fire.min() - sim.time >= sim.config.guard_time:
+                break
+            sim.step()
+        pairs = [
+            (a, b)
+            for a in sim.channel_members[0]
+            for b in sim.channel_members[1]
+            if abs(sim.next_fire[a] - sim.next_fire[b]) < 1e-5 * sim.config.period
+            and sim.nodes[a].role == sim.nodes[b].role
+        ]
+        sim.swap_channels(*pairs[rng.integers(len(pairs))], tol=1e-5)
+        fire_everywhere(60)
+    assert flushed > 10
+
+
 class PushOracle(Simulation):
     """Replays push delivery next to the per-channel delivery state: a
     shadow of every node's last heard announcement and of the nodes awaiting

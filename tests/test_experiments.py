@@ -1,11 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import desynclab
 from desynclab import (
     DesyncState,
     MultichannelProblem,
@@ -574,3 +578,14 @@ def test_eventsim_sweep_mode():
     assert row.mode == "event-sim"
     assert row.failures == 0
     assert row.mean_rounds > 0
+
+
+def test_import_leaves_yaml_and_process_pools_out():
+    # parse_spec imports yaml, and run_sweep with workers > 1 imports
+    # concurrent.futures, on first use, so `import desynclab` pays for neither
+    src = str(Path(desynclab.__file__).resolve().parents[1])
+    code = ("import sys, desynclab; "
+            "print([m for m in ('yaml', 'concurrent.futures') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
