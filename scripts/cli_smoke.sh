@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Run every `desynclab` console-script command on small configs and check
-# their exit codes. Run it from an empty scratch directory, with the package
-# installed:
+# Run every `desynclab` console-script command on small configs, and on the
+# shipped configs in `configs/` with small trial counts, and check their exit
+# codes. Run it from an empty scratch directory, with the package installed:
 #
 #     cd "$(mktemp -d)" && bash /path/to/repo/scripts/cli_smoke.sh
 #
 # It needs only the runtime dependencies (numpy, pyyaml).
 set -eo pipefail
+configs="$(cd "$(dirname "$0")/../configs" && pwd)"
 
 printf 'mode: much\nchannels: 4\nnodes_per_channel: 4\n' > much.yaml
 printf 'mode: event-sim\nn: 8\nchannels: 2\nalpha: 0.5\nepsilon: 1e-3\nseed_base: 1\n' > sim.yaml
@@ -38,4 +39,14 @@ rc=0; desynclab plotdata --summary bad-summary.json --out cli-out/bad || rc=$?; 
 # so does one whose out_dir is not a string; reading it must not end in a traceback (exit 1)
 sed 's/"out_dir": "cli-out"/"out_dir": 7/' cli-out/summary.json > int-out-summary.json
 rc=0; desynclab plotdata --summary int-out-summary.json || rc=$?; test "$rc" -eq 2
+# the shipped configs whose runs exit 0, writing under shipped/ rather than
+# the configs' own results/ paths. A batch-mode sweep of them exits 4 (some
+# trials fail at the default grids), so only the event-sim config is swept.
+for name in desync-n8 desync-n16; do
+    desynclab bounds --config "$configs/$name.yaml" --trials 8 --out "shipped/$name"
+done
+for name in much-6x4 much-16x4; do
+    desynclab spectra --config "$configs/$name.yaml" --out "shipped/$name"
+done
+desynclab sweep --config "$configs/event-sim-n16-c2.yaml" --trials 1 --out shipped/event-sim-n16-c2
 echo "cli smoke: ok"

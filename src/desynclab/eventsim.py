@@ -333,13 +333,12 @@ class Simulation:
         """Queue every node once at its pending fire, deferring none.
 
         The fire queue is a heap keyed (time, channel, node_id), the scan's
-        tie-break. An entry is live while it matches the node's current
-        next_fire and channel; an update leaves the old one to be skipped
-        when popped (it expires within one period). A node has at most one
-        live entry, and a deferred node none: step() leaves a Desync firer
-        unqueued while another Desync member of its channel is queued
-        strictly ahead of it, since that channel's next fire queues it. A
-        move or an election can break that, so they requeue everything."""
+        tie-break. step() defers and leaves stale entries: an entry is live
+        while it matches the node's pending fire time, so an update leaves
+        the old one to be skipped when popped (it expires within one period),
+        and a Desync firer stays unqueued while a Desync mate is queued
+        strictly ahead of it, since that mate's fire queues it. Construction,
+        balancing, swaps and a bare advance rebuild the queue here."""
         self._queue = [(t, nd.channel, nd.node_id)
                        for t, nd in zip(self._next_fire, self.nodes)]
         heapify(self._queue)
@@ -376,31 +375,29 @@ class Simulation:
             self._requeue()
 
     def _balance(self) -> bool:
-        """balance_channels without the requeue; whether a node moved."""
+        """balance_channels without the requeue; whether a node moved. One
+        scan: a move at c changes only the conditions at c-1, c, c+1 and the
+        wrap edge, which is scanned last, so resuming at c-1 (at 0 after a
+        move across the wrap edge) makes the moves a restart at 0 would."""
         C = self.config.channels
         if C < 2:
             return False
         counts = self.occupancy()
         limit = 10 * self.config.n * C + 100
-        switches = 0
-        touched = set()
-        while True:
-            moved = False
-            for c in range(C):
-                nxt = (c + 1) % C
-                need = 2 if c == C - 1 else 1
-                if counts[c] - counts[nxt] >= need and counts[c] > 0:
-                    self._move(elect_sync_node(self.channel_members[c]), nxt)
-                    counts[c] -= 1
-                    counts[nxt] += 1
-                    touched.update((c, nxt))
-                    switches += 1
-                    moved = True
-                    break
-            if not moved:
-                break
+        switches, c, touched = 0, 0, set()
+        while c < C:
+            nxt = (c + 1) % C
+            if counts[c] - counts[nxt] < (1 if nxt else 2):
+                c += 1
+                continue
+            self._move(elect_sync_node(self.channel_members[c]), nxt)
+            counts[c] -= 1
+            counts[nxt] += 1
+            touched.update((c, nxt))
+            switches += 1
             if switches > limit:
                 raise RuntimeError("channel balancing failed to terminate")
+            c = max(c - 1, 0) if nxt else 0
         for c in sorted(touched):
             self._elect(c)
         return switches > 0
@@ -434,28 +431,20 @@ class Simulation:
 
     def advance_to_next_fire(self) -> FireEvent:
         """Advance the clock to the earliest phase-1 crossing; the firer wraps
-        to phase 0 and its next fire is scheduled one period later, in place
-        of its popped queue entry. Ties break on (channel, node_id). No
-        delivery happens, so the fire that would queue a deferred node may
-        never come: every deferred node is queued first. step() fires
-        without this method."""
+        to phase 0 and its next fire is scheduled one period later. Ties break
+        on (channel, node_id). No delivery happens, so the fire that would
+        queue a deferred node may never come: the queue is rebuilt first, at
+        O(n) per call. step() fires without this method."""
         if not self.nodes:
             raise RuntimeError("empty network: no node can fire")
-        queue, next_fire, nodes = self._queue, self._next_fire, self.nodes
-        for c, nid in enumerate(self._deferred):
-            if nid >= 0:
-                self._deferred[c] = -1
-                heappush(queue, (next_fire[nid], c, nid))
-        t, ch, nid = queue[0]
-        while t != next_fire[nid] or ch != nodes[nid].channel:
-            heappop(queue)
-            t, ch, nid = queue[0]
-        firer = nodes[nid]
+        self._requeue()
+        t, ch, nid = self._queue[0]
+        firer = self.nodes[nid]
         self.time = t
         firer.fire_count += 1
         self._rounds[firer.fire_count][nid] = t
-        t_next = next_fire[nid] = t + self.config.period
-        heapreplace(queue, (t_next, ch, nid))
+        t_next = self._next_fire[nid] = t + self.config.period
+        heapreplace(self._queue, (t_next, ch, nid))
         # FireEvent(...) would run the named tuple's Python-level __new__
         return tuple.__new__(FireEvent, (t, nid, ch))
 
@@ -472,9 +461,8 @@ class Simulation:
         announcement, everyone else reads the channel's latest. The Desync
         members awaiting an update that heard it update, in ascending id.
 
-        The queue work is done here, not in advance_to_next_fire: the fired
-        entry stays at the top of the queue until the step's first push
-        takes its slot. The channel's deferred firer is queued at its
+        The fired entry stays at the top of the queue until the step's first
+        push takes its slot. The channel's deferred firer is queued at its
         updated time, or at its pending one if it missed the fire or its
         cache was cold; a Desync firer is deferred in turn when another
         Desync member is queued strictly ahead of it (see _requeue)."""
@@ -483,7 +471,7 @@ class Simulation:
             raise RuntimeError("empty network: no node can fire")
         queue, next_fire = self._queue, self._next_fire
         t, c, firer_id = queue[0]
-        while t != next_fire[firer_id] or c != nodes[firer_id].channel:
+        while t != next_fire[firer_id]:
             heappop(queue)
             t, c, firer_id = queue[0]
         self.time = t
@@ -548,7 +536,7 @@ class Simulation:
             # (last channel listening to channel 0) is dropped, making the
             # last channel's Sync the free-running reference
             watcher = self.sync_of[c - 1] if c else None
-            if watcher is not None and watcher != firer_id:
+            if watcher is not None:
                 if self.message_delivered(watcher, firer_id):
                     pending = next_fire[watcher]
                     self._on_fire_sync(nodes[watcher], event, announced)

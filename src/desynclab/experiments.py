@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import FAST_GUARANTEE_ALPHA_MAX, desync_round_bound, fast_desync_round_bound
 from .eventsim import SimConfig, SimulationResult, TraceRecord, run_simulation
-from .problems import MultichannelProblem, SingleChannelProblem, SpecError
+from .problems import MultichannelProblem, SingleChannelProblem, SpecError, _as_int
 from .rounds import default_max_rounds
 from .spectral import spectral_report
 from .trials import (
@@ -162,15 +162,6 @@ def _as_float(value, name: str) -> float:
     if not math.isfinite(number):
         raise SpecError(f"{name} must be a finite number, got {value!r}")
     return number
-
-
-def _as_int(value, name: str) -> int:
-    """An int or an integral float. Bools, fractions and other types are
-    rejected."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise SpecError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _as_str(value, name: str) -> str:

@@ -7,6 +7,7 @@ the first node of each channel to the first node of the next one.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,16 @@ def alpha_to_beta(alpha: float) -> float:
 def beta_to_alpha(beta: float) -> float:
     """Gradient step size -> jump-phase parameter (alpha = 2*beta)."""
     return 2.0 * beta
+
+
+def _as_int(value, name: str) -> int:
+    """A non-bool integer (numpy's included) or an integral float. Bools,
+    fractions, NaN and other types are rejected."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_phase_vector(values, n: int | None = None) -> np.ndarray:
@@ -54,6 +65,7 @@ class SingleChannelProblem:
     epsilon: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_int(self.n, "n"))
         if self.n < 2:
             raise SpecError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.alpha < 1.0:
@@ -79,7 +91,7 @@ class MultichannelProblem:
     gamma: float
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.channel_counts)
+        counts = tuple(_as_int(c, "channel count") for c in self.channel_counts)
         object.__setattr__(self, "channel_counts", counts)
         if len(counts) < 2:
             raise SpecError(f"need at least 2 channels, got {len(counts)}")

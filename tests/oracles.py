@@ -68,3 +68,28 @@ def sync_selector(problem: MultichannelProblem) -> np.ndarray:
     u = np.zeros(problem.total_nodes)
     u[problem.offsets()] = 1.0
     return u
+
+
+def balance_by_restart(members, sync_of):
+    """Greedy channel balancing, restarting its scan at channel 0 after
+    every move: the smallest member of the first channel c with
+    n_c - n_{c+1} >= 1 (>= 2 at the wrap edge) moves to c+1. Every channel
+    a move touched then elects its smallest member (None when empty); the
+    others keep their Sync. Takes and returns the member lists by channel
+    and the Sync ids."""
+    members = [sorted(m) for m in members]
+    sync_of = list(sync_of)
+    C = len(members)
+    touched = set()
+    while True:
+        for c in range(C):
+            nxt = (c + 1) % C
+            if len(members[c]) - len(members[nxt]) >= (2 if nxt == 0 else 1):
+                members[nxt] = sorted(members[nxt] + [members[c].pop(0)])
+                touched.update((c, nxt))
+                break
+        else:
+            break
+    for c in touched:
+        sync_of[c] = min(members[c], default=None)
+    return members, sync_of

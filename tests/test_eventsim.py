@@ -571,6 +571,26 @@ def test_run_returns_from_a_zeno_exchange():
     assert int(fastest) > int(completed) + 13
 
 
+def test_run_stops_a_zeno_exchange_in_process():
+    # the same stop, in this process so that line tracing sees it: three
+    # accelerated nodes fall into a Zeno exchange after 57 rounds. A step
+    # budget turns a regression into a failure, not a hang.
+    class Budget(Simulation):
+        steps = 0
+
+        def step(self):
+            self.steps += 1
+            assert self.steps < 10_000, "run() missed the Zeno exchange"
+            return super().step()
+
+    sim = Budget(SimConfig(n=3, channels=1, alpha=0.7, use_nesterov=True, rng_seed=0,
+                           epsilon=1e-12, max_rounds=3000))
+    res = sim.run()
+    assert not res.report.converged and res.steady_round is None
+    assert res.report.rounds == sim.completed_rounds == 57
+    assert len(sim._rounds) > sim.config.n
+
+
 def test_run_records_rounds_stepped_before_it():
     # rounds completed by steps before the first run() wait in the round
     # buffer, dozens more than n, and are recorded, not taken for a Zeno

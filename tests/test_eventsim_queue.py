@@ -7,6 +7,7 @@ replays per-listener delivery against the per-channel delivery state.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from desynclab import SimConfig, Simulation
 from desynclab.eventsim import STEADY_ROUNDS
 from desynclab.objectives import gap_residual
+
+from oracles import balance_by_restart
 
 
 def hidden_adjacency(n, seed, listeners=6, links=3):
@@ -362,6 +365,18 @@ def test_bare_advance_queues_deferred_nodes():
     assert sim.step().node_id == first.node_id
 
 
+def test_bare_advance_rebuilds_the_queue():
+    # steps defer firers and leave stale entries; a bare advance rebuilds the
+    # queue first, so afterwards every node holds exactly one entry
+    sim = ScanOracle(SimConfig(n=16, channels=4, rng_seed=3))
+    for _ in range(200):
+        sim.step()
+    sim.advance_to_next_fire()
+    assert sim._deferred == [-1] * 4
+    assert sorted(sim._queue) == sorted(
+        (sim._next_fire[i], nd.channel, i) for i, nd in enumerate(sim.nodes))
+
+
 def test_sync_pull_to_the_current_instant_fires_at_once():
     # channel 1's Sync fires at t; channel 0's Sync, pending one ulp later,
     # is pulled to phase exactly 1 and requeued at t, under a key that sorts
@@ -422,6 +437,57 @@ def test_steps_advances_balancing_and_swaps_keep_every_node_firing():
         sim.swap_channels(*pairs[rng.integers(len(pairs))], tol=1e-5)
         fire_everywhere(60)
     assert flushed > 10
+
+
+def balancing_placements(count=600):
+    """Unbalanced placements on 2 to 8 channels: random, all in one channel,
+    and channels falling as node ids rise."""
+    rng = np.random.default_rng(25)
+    for k in range(count):
+        n, C = int(rng.integers(1, 40)), int(rng.integers(2, 9))
+        chans = rng.integers(0, C, size=n)
+        if k % 3 == 1:
+            chans = np.full(n, chans[0])
+        elif k % 3 == 2:
+            chans = np.sort(chans)[::-1].copy()
+        yield SimConfig(n=n, channels=C, rng_seed=k, balance=False, initial_channels=chans)
+
+
+def test_balancing_matches_restart_from_channel_zero():
+    for cfg in balancing_placements():
+        placed = Simulation(cfg)
+        expected = balance_by_restart(placed.channel_members, placed.sync_of)
+        sim = Simulation(replace(cfg, balance=True))
+        assert (sim.channel_members, sim.sync_of) == expected, cfg
+
+
+def test_mid_run_balancing_matches_restart_from_channel_zero():
+    for cfg in balancing_placements():
+        sim = Simulation(cfg)
+        for _ in range(3 * cfg.n):
+            sim.step()
+        expected = balance_by_restart(sim.channel_members, sim.sync_of)
+        sim.balance_channels()
+        assert (sim.channel_members, sim.sync_of) == expected, cfg
+
+
+def test_balancing_after_a_sync_swap_re_elects_only_touched_channels():
+    # the Sync swap between channels 2 and 3 leaves neither with its smallest
+    # member as Sync; balancing 3/1/2/2 moves one node from channel 0 to 1
+    # and must leave channels 2 and 3 as they are
+    sim = Simulation(SimConfig(n=8, channels=4, alpha=0.6, gamma=0.6, epsilon=1e-12,
+                               rng_seed=11, balance=False, max_rounds=60000,
+                               initial_channels=np.array([0, 0, 0, 1, 2, 2, 3, 3])))
+    assert sim.run().report.converged
+    while sim.next_fire.min() - sim.time < sim.config.guard_time:
+        sim.step()
+    sim.swap_channels(sim.sync_of[2], sim.sync_of[3], tol=1e-5)
+    assert sim.sync_of[2:] == [6, 4]
+    expected = balance_by_restart(sim.channel_members, sim.sync_of)
+    sim.balance_channels()
+    assert sim.occupancy() == [2, 2, 2, 2]
+    assert (sim.channel_members, sim.sync_of) == expected
+    assert sim.sync_of[2:] == [6, 4]
 
 
 class PushOracle(Simulation):

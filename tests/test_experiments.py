@@ -289,8 +289,9 @@ def _spec_paths(tmp_path, key, text, value):
 
     def loaded():
         path = tmp_path / "summary.json"
+        # a numpy scalar is written as the JSON number it holds
         path.write_text(json.dumps({"spec": {**asdict(parse_spec(EVENT_SIM)), field: value},
-                                    "rows": []}))
+                                    "rows": []}, default=lambda v: v.item()))
         return load_summary(path).spec
 
     return {
@@ -326,7 +327,9 @@ def test_every_path_rejects_a_bad_value_with_one_message(tmp_path, key, text, va
     ("loss_probability", "1e-1", "1e-1", 0.1),
     ("alpha", "[0.5, 0.25]", [0.5, 0.25], (0.5, 0.25)),
     ("gamma", "0.3", 0.3, (0.3,)),
-], ids=["numeric-strings-grid", "numeric-string-float", "list-grid", "scalar-grid"])
+    ("n", "16", np.int64(16), 16),
+], ids=["numeric-strings-grid", "numeric-string-float", "list-grid", "scalar-grid",
+        "numpy-int"])
 def test_every_path_reads_a_value_as_parse_spec_does(tmp_path, key, text, value, read):
     specs = [build() for build in _spec_paths(tmp_path, key, text, value).values()]
     assert getattr(specs[0], _SPEC_KEYS[key].field) == read

@@ -8,7 +8,7 @@ from desynclab import (
     as_phase_vector,
     beta_to_alpha,
 )
-from desynclab.problems import as_channel_vectors
+from desynclab.problems import SpecError, as_channel_vectors
 
 from oracles import difference_matrix, ring_laplacian, wrap_bias
 
@@ -47,6 +47,24 @@ def test_multichannel_problem_ranges():
         MultichannelProblem.uniform(2, 4, 0.5, 0.5)
     with pytest.raises(ValueError):
         MultichannelProblem.uniform(2, 4, 0.25, 1.0)
+
+
+@pytest.mark.parametrize("size", [4.5, 2.7, float("nan"), True, "4"])
+def test_problem_sizes_must_be_integers(size):
+    # both used to truncate or compare the value as given: (2.7, 3) became
+    # (2, 3), and n = 4.5 built and returned a bound
+    with pytest.raises(SpecError, match=f"^n must be an integer, got {size!r}$"):
+        SingleChannelProblem(n=size, alpha=0.5, epsilon=1e-3)
+    with pytest.raises(SpecError, match="^channel count must be an integer"):
+        MultichannelProblem((size, 3), 0.25, 0.5)
+
+
+def test_problem_sizes_read_numpy_and_integral_floats_as_int():
+    single = SingleChannelProblem(n=np.int64(4), alpha=0.5, epsilon=1e-3)
+    multi = MultichannelProblem((np.int64(2), 3.0), 0.25, 0.5)
+    assert type(single.n) is int and single.n == 4
+    assert multi.channel_counts == (2, 3)
+    assert all(type(c) is int for c in multi.channel_counts)
 
 
 def test_difference_matrix_structure():
