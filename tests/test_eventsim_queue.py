@@ -440,8 +440,8 @@ def test_steps_advances_balancing_and_swaps_keep_every_node_firing():
 
 
 def balancing_placements(count=600):
-    """Unbalanced placements on 2 to 8 channels: random, all in one channel,
-    and channels falling as node ids rise."""
+    """Placements of 1 to 39 nodes on 2 to 8 channels: random, all in one
+    channel, and reverse-sorted (channels falling as node ids rise)."""
     rng = np.random.default_rng(25)
     for k in range(count):
         n, C = int(rng.integers(1, 40)), int(rng.integers(2, 9))
