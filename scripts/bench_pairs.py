@@ -16,18 +16,31 @@ versions, BLAS threads and processors that the side's first run recorded in
 its result file. Per workload and end-to-end metric it holds the parent's
 and the change's quartiles, the change of the median in percent, the number
 of pairs in which the change read lower and whether the medians differ by
-more than the parent's interquartile range. Last come the raw runs. The
-file is rewritten after every run, so an interrupted script leaves the
-pairs it finished.
+more than the parent's interquartile range, and each side's median minor
+page faults and CPU seconds per run. Those two are read from
+`getrusage(RUSAGE_CHILDREN)` before and after each run's subprocess, so
+they cover the benchmark process and anything it waits for. Last come the
+raw runs. The file is rewritten after every run, so an interrupted script
+leaves the pairs it finished.
+
+Both sides import from one bytecode cache that the script makes for its
+own runs (PYTHONPYCACHEPREFIX in a temporary directory, with bytecode
+writing on), so each side compiles its sources in its first run only. A
+`__pycache__` left in one checkout, with PYTHONDONTWRITEBYTECODE set in
+the caller's environment, would otherwise let that side read bytecode
+while the other compiles in every process, `setup_s`'s probes included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 # The fields of a run's recorded environment that describe the machine and
@@ -55,13 +68,16 @@ def revision(checkout: Path) -> dict:
             "dirty": dirty}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
     """One benchmark run: its end-to-end metrics, correctness, op counts,
-    floating-point warnings and recorded environment."""
+    floating-point warnings, minor page faults, CPU seconds and recorded
+    environment."""
     bench = json.loads((checkout / "BENCHMARK.json").read_text())
     cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
@@ -75,6 +91,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": last["attempted"],
         "failed": last["failed"],
         "fp_warnings": sum(p["fp_warnings"] for p in detail["passes"]),
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "cpu_s": round(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime, 3),
         "env": {key: detail["env"][key] for key in STAMP},
     }
 
@@ -118,6 +136,10 @@ def summarise(runs: dict, better: dict) -> dict:
             side: statistics.median(r["attempted"] for r in rs)
             for side, rs in (("parent", parent), ("change", change))
         },
+        "rusage_median": {
+            side: {key: statistics.median(r[key] for r in rs) for key in ("minor_faults", "cpu_s")}
+            for side, rs in (("parent", parent), ("change", change))
+        },
     }
 
 
@@ -152,18 +174,21 @@ def main(argv=None) -> int:
         "summary": {},
         "runs": {},
     }
-    for workload in workloads:
-        runs = doc["runs"][workload] = {"parent": {}, "change": {}}
-        for i, seed in enumerate(args.seeds):
-            order = (("parent", parent), ("change", change))
-            for side, checkout in order if i % 2 == 0 else order[::-1]:
-                run = runs[side][seed] = run_once(checkout, workload, seed, seconds)
-                doc["environment"][side].setdefault("run", run.pop("env"))
-                doc["summary"][workload] = summarise(runs, better)
-                out.write_text(json.dumps(doc, indent=1) + "\n")
-            study = {s: runs[s][seed]["metrics"].get("study_s") for s in runs}
-            print(f"{workload} seed {seed}: study_s parent {study['parent']:.4g} "
-                  f"change {study['change']:.4g}", file=sys.stderr, flush=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        for workload in workloads:
+            runs = doc["runs"][workload] = {"parent": {}, "change": {}}
+            for i, seed in enumerate(args.seeds):
+                order = (("parent", parent), ("change", change))
+                for side, checkout in order if i % 2 == 0 else order[::-1]:
+                    run = runs[side][seed] = run_once(checkout, workload, seed, seconds, env)
+                    doc["environment"][side].setdefault("run", run.pop("env"))
+                    doc["summary"][workload] = summarise(runs, better)
+                    out.write_text(json.dumps(doc, indent=1) + "\n")
+                study = {s: runs[s][seed]["metrics"].get("study_s") for s in runs}
+                print(f"{workload} seed {seed}: study_s parent {study['parent']:.4g} "
+                      f"change {study['change']:.4g}", file=sys.stderr, flush=True)
     return 0
 
 

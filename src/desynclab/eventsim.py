@@ -435,8 +435,6 @@ class Simulation:
         on (channel, node_id). No delivery happens, so the fire that would
         queue a deferred node may never come: the queue is rebuilt first, at
         O(n) per call. step() fires without this method."""
-        if not self.nodes:
-            raise RuntimeError("empty network: no node can fire")
         self._requeue()
         t, ch, nid = self._queue[0]
         firer = self.nodes[nid]
@@ -467,8 +465,6 @@ class Simulation:
         cache was cold; a Desync firer is deferred in turn when another
         Desync member is queued strictly ahead of it (see _requeue)."""
         nodes = self.nodes
-        if not nodes:
-            raise RuntimeError("empty network: no node can fire")
         queue, next_fire = self._queue, self._next_fire
         t, c, firer_id = queue[0]
         while t != next_fire[firer_id]:

@@ -230,14 +230,16 @@ def default_max_rounds(nodes: int, alpha: float, epsilon: float) -> int:
     return int(math.ceil(10.0 * desync_round_bound(problem)))
 
 
-def diverging(value, start, k: int, onset: int | None):
+def diverging(value, start, k, onset: int | None):
     """The abort rule of both convergence loops, elementwise over objective
     values: non-finite, or, at a round k at or after the momentum onset
     (`spectral.momentum_onset`), above GROWTH times the start objective.
-    Plain runs pass onset None and abort on non-finite values only."""
+    The round k is an int or an array of rounds that broadcasts against the
+    values, as the batch loop's block of rounds does. Plain runs pass onset
+    None and abort on non-finite values only."""
     out = ~np.isfinite(value)
-    if onset is not None and k >= onset:
-        out |= value > GROWTH * start
+    if onset is not None:
+        out |= (value > GROWTH * start) & (k >= onset)
     return out
 
 

@@ -202,23 +202,24 @@ def initial_multichannel_batch(
 # Pairwise numpy sums, not objectives.py's dot: the two differ in the last bit
 # on 505-854 of 2,000 random starts per n, for n = 4 to 1024.
 def batch_gap_objective(phi: np.ndarray) -> np.ndarray:
-    """Single-channel objective along the last axis of a (trials, n) batch."""
+    """Single-channel objective along the last axis of a ([rounds,] trials, n)
+    batch."""
     r = gap_residual(phi)
     r *= r
     return 0.5 * np.add.reduce(r, axis=-1)
 
 
 def batch_multichannel_objective(phi: np.ndarray) -> np.ndarray:
-    """Joint objective for a (trials, C, n) batch."""
+    """Joint objective for a ([rounds,] trials, C, n) batch."""
     r = gap_residual(phi)
     r *= r
-    per_channel = 0.5 * r.sum(axis=(1, 2))
-    first = phi[:, :, 0]
+    per_channel = 0.5 * r.sum(axis=(-2, -1))
+    first = phi[..., 0]
     d = np.empty(first.shape)
-    np.subtract(first[:, 1:], first[:, :-1], out=d[:, :-1])  # roll(first, -1) - first
-    np.subtract(first[:, 0], first[:, -1], out=d[:, -1])
+    np.subtract(first[..., 1:], first[..., :-1], out=d[..., :-1])  # roll(first, -1) - first
+    np.subtract(first[..., 0], first[..., -1], out=d[..., -1])
     d *= d
-    return per_channel + 0.5 * d.sum(axis=1)
+    return per_channel + 0.5 * d.sum(axis=-1)
 
 
 @dataclass
@@ -230,6 +231,10 @@ class TrialBatchResult:
     @property
     def ok(self) -> bool:
         return bool(self.converged.all()) and not bool(self.aborted.any())
+
+
+_ROUND_BLOCK = 8  # rounds per objective call, stop test and compaction
+_SLOTS = 2 * _ROUND_BLOCK + 2  # two blocks of states, then work and mu
 
 
 def _run_batch(
@@ -251,11 +256,14 @@ def _run_batch(
     objective grown GROWTH-fold past the trial's start. One still unfinished
     after max_rounds is capped.
 
-    Only live trials are stepped: `live` indexes the rows of phi and mu in
-    the batch, and a trial that converges or aborts is dropped from both in
-    that round. Per-trial arithmetic is elementwise along the last axes, so
-    dropping rows changes no result. The rounds run in reused buffers, under
-    np.errstate, so no floating-point warning reaches stderr.
+    Only live trials (`live`) are stepped, _ROUND_BLOCK rounds at a time,
+    each round into its own slot. The objective, the stop test and the
+    compaction run once per block: a trial ends at its first round that
+    converges or aborts, and the states it rode on to the block's end go
+    with its row. Per-trial arithmetic is elementwise, so this changes no
+    result. Two alternating blocks of slots, the work buffer and mu are one
+    allocation: one ring of slots gives the same bits, but makes glibc trim
+    and regrow the heap after most batches. All runs under np.errstate.
     """
     objective = batch_gap_objective if gamma is None else batch_multichannel_objective
     m, n = phi0.shape[0], phi0.shape[-1]
@@ -273,40 +281,52 @@ def _run_batch(
         rounds[converged] = 0
         live = np.flatnonzero(~converged)
         start = start[live]
-        phi = phi0[live]
-        mu = phi.copy() if fast else phi
-        nxt, work = np.empty_like(phi), np.empty_like(phi)
+        phi = mu = phi0[live]
+        store, slots = np.empty(_SLOTS * phi.size), None
         sync_work = np.empty(phi.shape[:-1])
-        for k in range(1, max_rounds + 1):
-            if live.size == 0:
-                break
-            desync_map(mu, alpha, out=nxt, work=work)
-            if gamma is not None:
-                sync_map(phi[..., 0], gamma, out=nxt[..., 0], work=sync_work)
-            if fast:
-                # mu = (nxt - phi) * coef + nxt in mu's buffer: the same bits
-                # as nxt + coef * (nxt - phi), since + and * commute exactly
-                np.subtract(nxt, phi, out=mu)
-                np.multiply(mu, momentum_coefficient(k), out=mu)
-                np.add(mu, nxt, out=mu)
+        k = 0
+        while live.size and k < max_rounds:
+            if slots is None:  # the first block, or rows were dropped
+                slots = store[:_SLOTS * phi.size].reshape(_SLOTS, *phi.shape)
+                work = slots[-2]
+                if fast:
+                    slots[-1] = mu
+                    mu = slots[-1]
+            first, k0 = k // _ROUND_BLOCK % 2 * _ROUND_BLOCK, k + 1
+            block = slots[first:first + min(_ROUND_BLOCK, max_rounds - k)]
+            for nxt in block:
+                k += 1
+                desync_map(mu, alpha, out=nxt, work=work)
                 if gamma is not None:
-                    mu[..., 0] = nxt[..., 0]
-            phi, nxt = nxt, phi
-            if not fast:
-                mu = phi
-            v = objective(phi)
-            keep = (v > epsilon) & ~diverging(v, start, k, onset)
+                    sync_map(phi[..., 0], gamma, out=nxt[..., 0], work=sync_work)
+                if fast:
+                    # mu = (nxt - phi) * coef + nxt in mu's buffer: the same
+                    # bits as nxt + coef * (nxt - phi), since + and * commute exactly
+                    np.subtract(nxt, phi, out=mu)
+                    np.multiply(mu, momentum_coefficient(k), out=mu)
+                    np.add(mu, nxt, out=mu)
+                    if gamma is not None:
+                        mu[..., 0] = nxt[..., 0]
+                phi = nxt
+                if not fast:
+                    mu = phi
+            v = objective(block)
+            stop = diverging(v, start, np.arange(k0, k + 1)[:, None], onset)
+            stop |= v <= epsilon
+            keep = ~stop.any(axis=0)
             kept = np.count_nonzero(keep)
             if kept < live.size:
-                newly = v <= epsilon
-                aborted[live[~keep & ~newly]] = True
-                done = live[newly]
-                rounds[done] = k
-                converged[done] = True
+                gone = np.flatnonzero(~keep)
+                at = stop[:, gone].argmax(axis=0)
+                newly = v[at, gone] <= epsilon
+                done = live[gone]
+                rounds[done[newly]] = k0 + at[newly]
+                converged[done[newly]] = True
+                aborted[done[~newly]] = True
                 live, start = live.compress(keep), start.compress(keep)
                 phi = phi.compress(keep, axis=0)
                 mu = mu.compress(keep, axis=0) if fast else phi
-                nxt, work, sync_work = nxt[:kept], work[:kept], sync_work[:kept]
+                sync_work, slots = sync_work[:kept], None
     return TrialBatchResult(rounds=rounds, converged=converged, aborted=aborted)
 
 

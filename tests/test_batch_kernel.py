@@ -1,11 +1,14 @@
 """Bitwise oracles for the batch kernel: the vectorized uniform draws against
 np.random.default_rng, the batched start samplers against the per-trial
 sampler, the buffered Desync and consensus maps and the
-slice-built objectives against their np.roll forms, and the compacting
-batch loop against the round engine on batches that mix converged, aborted
-and capped trials.
+slice-built objectives against their np.roll forms, the objectives on a
+stack of rounds against per-round calls, and the compacting batch loop
+against the round engine on batches that mix converged, aborted and capped
+trials and on trials that end at the edges of its blocks of rounds. One
+more test pins the batch loop's peak memory.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,22 +16,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from desynclab import DesyncState, NesterovState, SingleChannelProblem
 from desynclab import experiments as ex
+from desynclab import rounds as rounds_module
 from desynclab import trials as trials_module
 from desynclab.objectives import gap_residual
 from desynclab.rounds import desync_map, sync_map
+from desynclab.spectral import momentum_onset
 from desynclab.trials import (
+    _ROUND_BLOCK,
     _seed_words,
     _uniform_rows,
+    batch_gap_objective,
     batch_multichannel_objective,
     initial_multichannel_batch,
     initial_phase_batch,
+    run_desync_batch,
     run_fast_desync_batch,
     run_sync_desync_batch,
     sample_initial_phases,
 )
 from oracles import wrap_bias
-from test_batch_outcomes import multichannel, single_channel
+from test_batch_outcomes import (
+    batch_outcomes,
+    engine_outcome,
+    multichannel,
+    single_channel,
+)
 from test_experiments import rows_equal, small_spec
 
 REAL_DEFAULT_RNG = np.random.default_rng
@@ -265,6 +279,107 @@ def test_mixed_batch_matches_round_engine_per_trial(name):
         batch, engine = run(*args, fast=True)
     assert batch == engine
     assert {kind for kind, _ in batch} == {"converged", "aborted", "capped"}
+
+
+@pytest.mark.parametrize("shape", [(8, 7, 16), (3, 5, 4), (1, 6, 9), (8, 4, 1), (2, 1, 1)])
+def test_gap_objective_on_a_stack_equals_per_round_calls(shape):
+    phi = REAL_DEFAULT_RNG(8).random(shape) * 5.0
+    stacked = batch_gap_objective(phi)
+    assert stacked.shape == shape[:2]
+    for b in range(shape[0]):
+        assert np.array_equal(stacked[b], batch_gap_objective(phi[b]))
+
+
+@pytest.mark.parametrize("shape", [(8, 7, 3, 4), (3, 5, 16, 4), (2, 6, 1, 5), (8, 4, 3, 1),
+                                   (2, 3, 1, 1)])
+def test_multichannel_objective_on_a_stack_equals_per_round_calls(shape):
+    phi = REAL_DEFAULT_RNG(9).random(shape) * 5.0
+    stacked = batch_multichannel_objective(phi)
+    assert stacked.shape == shape[:2]
+    for b in range(shape[0]):
+        assert np.array_equal(stacked[b], batch_multichannel_objective(phi[b]))
+
+
+# Caps below, at and just past one and two blocks of rounds: the last block
+# of a capped batch is a partial one.
+@pytest.mark.parametrize("cap", [1, _ROUND_BLOCK - 1, _ROUND_BLOCK, _ROUND_BLOCK + 1,
+                                 2 * _ROUND_BLOCK + 1])
+@pytest.mark.parametrize("fast", [False, True])
+def test_block_caps_match_round_engine_per_trial(cap, fast):
+    for batch, engine in (single_channel(8, 0.3, 1e-3, cap, fast),
+                          multichannel(3, 4, 0.4, 1e-3, cap, fast)):
+        assert batch == engine
+        assert all(rounds <= cap for _, rounds in batch)
+
+
+def test_momentum_onset_inside_a_block_matches_round_engine():
+    # The onset (round 3) is inside the first block, and the trials abort at
+    # rounds 32 and 33 (see MIXED), the last round of one block and the first
+    # of the next: a cap of 32 leaves the later ones capped, one of 33 not.
+    assert momentum_onset(SingleChannelProblem(16, 0.8, 1e-3)) % _ROUND_BLOCK not in (0, 1)
+    assert 32 % _ROUND_BLOCK == 0
+    kinds = {}
+    for cap in (32, 33):
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch, engine = single_channel(16, 0.8, 1e-3, cap, fast=True)
+        assert batch == engine
+        kinds[cap] = {kind for kind, _ in batch}
+    assert {"aborted", "capped"} <= kinds[32] and "capped" not in kinds[33]
+
+
+def test_growth_abort_starts_at_the_onset_round_inside_a_block(monkeypatch):
+    # With GROWTH tiny, every unfinished trial aborts at the onset round
+    # itself, so a cap one round short leaves them all capped
+    monkeypatch.setattr(rounds_module, "GROWTH", 1e-300)
+    onset = momentum_onset(SingleChannelProblem(16, 0.8, 1e-3))
+    kinds = {}
+    for cap in (onset - 1, onset):
+        batch, engine = single_channel(16, 0.8, 1e-3, cap, fast=True)
+        assert batch == engine
+        kinds[cap] = {kind for kind, _ in batch}
+    assert kinds == {onset - 1: {"capped"}, onset: {"aborted"}}
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_trials_ending_on_a_blocks_first_and_last_round_match_round_engine(fast):
+    phi0 = initial_phase_batch(8, 40, seed_base=0)
+    problem, epsilon, cap = SingleChannelProblem(8, 0.3, 1e-4), 1e-4, 1000
+    start = NesterovState.initial if fast else DesyncState
+    runner = run_fast_desync_batch if fast else run_desync_batch
+    engine = [engine_outcome(start(p), problem, epsilon, cap) for p in phi0]
+    assert batch_outcomes(runner(phi0, 0.3, epsilon, cap)) == engine
+    ends = {rounds % _ROUND_BLOCK for kind, rounds in engine if kind == "converged"}
+    assert {0, 1} <= ends
+
+
+@pytest.mark.parametrize("shape, fast", [((400, 16), False), ((400, 4, 16), True)])
+def test_batch_peak_memory_is_its_store_and_one_block_objective(shape, fast):
+    # One allocation holds two blocks of states, the work buffer and mu, one
+    # slot (a (trials, [C,] n) array) each, and the objective of a full block
+    # adds its residual. The per-trial arrays and the previous block's
+    # objective values and stop flags take under a slot at these sizes, so
+    # the allowance is two slots: a further block-sized temporary fails here
+    # long before it shows in RSS.
+    gamma = None if len(shape) == 2 else 0.6
+    objective = batch_gap_objective if gamma is None else batch_multichannel_objective
+    phi0 = (initial_phase_batch(16, 400, 0) if gamma is None
+            else initial_multichannel_batch(4, 16, 400, 0))
+    slot, block = phi0.nbytes, np.zeros((_ROUND_BLOCK, *shape))
+    tracemalloc.start()
+    try:
+        objective(block)
+        block_objective = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        if gamma is None:
+            res = run_desync_batch(phi0, 0.5, 1e-6, 2 * _ROUND_BLOCK)
+        else:
+            res = run_sync_desync_batch(phi0, 0.25, gamma, 1e-6, 2 * _ROUND_BLOCK, fast=fast)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.converged.any() and not res.aborted.any()
+    design = (2 * _ROUND_BLOCK + 2) * slot + block_objective
+    assert design <= peak <= design + 2 * slot, (peak / slot, design / slot)
 
 
 @pytest.mark.parametrize("mode, sampler, extra", [

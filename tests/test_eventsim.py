@@ -59,14 +59,6 @@ def test_two_node_fire_order():
     assert ev.time == pytest.approx(0.03, abs=1e-15)
 
 
-def test_empty_network_errors():
-    cfg = single_channel_config()
-    sim = Simulation(cfg)
-    sim.nodes = []
-    with pytest.raises(RuntimeError):
-        sim.advance_to_next_fire()
-
-
 @pytest.mark.parametrize("kw, match", [
     (dict(n=0), r"^n must be >= 1, got 0$"),
     (dict(channels=0), r"^channels must be >= 1, got 0$"),
