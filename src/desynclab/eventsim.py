@@ -27,13 +27,16 @@ Update rules, all evaluated at fire instants:
 staleness_mode:
 * "live" (default): only physically announced values are used; caches warm
   up over the first round, so first-round updates may be skipped.
-* "assumption1": reproduces the synchronous analytical iteration exactly.
-  The firing ring is fixed from the initial phase order and every update
-  with index k reads its neighbours' index-(k-1) values from a ledger,
-  including values that have not been announced yet (that non-causality is
-  precisely what the analytical model assumes). The ledger keeps only each
-  node's previous value; its current one is node.phi. Requires full
-  connectivity, zero loss, and no acceleration.
+* "assumption1": reproduces the synchronous single-channel analytical
+  iteration exactly. The firing ring is fixed from the initial phase order
+  and every update with index k reads its neighbours' index-(k-1) values
+  from a ledger, including values that have not been announced yet (that
+  non-causality is precisely what the analytical model assumes). The ledger
+  keeps only each node's previous value; its current one is node.phi.
+  Requires one channel, full connectivity, zero loss, and no acceleration.
+  On several channels the simulator's rooted Sync chain is not the engine's
+  circulant consensus row, so the ledger reproduces no engine round there;
+  SimConfig rejects it.
 
 Reception is stateless: a listener hears a fire unless the pair is hidden
 (non-adjacent pairs never deliver) or a per-receiver Bernoulli draw loses
@@ -50,7 +53,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .objectives import _channel_residuals, _objective_sum
+from .objectives import channel_objective
 from .rounds import ConvergenceReport, momentum_coefficient
 
 
@@ -136,6 +139,11 @@ class SimConfig:
                 )
             if self.use_nesterov:
                 raise ValueError("assumption1 mode covers the plain update only")
+            if self.channels > 1:
+                raise ValueError(
+                    "staleness_mode='assumption1' is exact only on one channel; "
+                    f"it requires channels=1, got channels={self.channels}"
+                )
         if self.initial_phases is not None:
             phases = np.asarray(self.initial_phases, dtype=np.float64)
             if phases.shape != (self.n,):
@@ -262,14 +270,19 @@ class Simulation:
                 self._elect(c)
         self._requeue()
 
-        # analytical-staleness ledger: fixed ring per channel (initial phase
-        # order) plus per-node previous iterate values; the current value of
-        # node i is nodes[i].phi
+        # analytical-staleness ledger (one channel): the firing ring fixed
+        # from the initial phase order, each node's predecessor the
+        # next-lower phase (cyclic), plus per-node previous iterate values;
+        # the current value of node i is nodes[i].phi
         if config.staleness_mode == "assumption1":
             self._ring_pred = np.full(n, -1, dtype=int)
             self._ring_succ = np.full(n, -1, dtype=int)
             self._led_prev = phases.astype(np.float64).copy()
-            self._build_rings()
+            if n > 1:
+                order = sorted(range(n), key=lambda i: (self.nodes[i].phi, i))
+                for idx, nid in enumerate(order):
+                    self._ring_pred[nid] = order[idx - 1]
+                    self._ring_succ[nid] = order[(idx + 1) % n]
 
     # ---------------- topology & roles ----------------
 
@@ -313,18 +326,6 @@ class Simulation:
         self.sync_of[channel] = sid
         for nid in members:
             self.nodes[nid].role = "sync" if nid == sid else "desync"
-
-    def _build_rings(self):
-        """Fix the per-channel firing ring from the initial phase order; each
-        node's predecessor is the next-lower phase (cyclic)."""
-        for members in self.channel_members:
-            if len(members) < 2:
-                continue
-            order = sorted(members, key=lambda i: (self.nodes[i].phi, i))
-            m = len(order)
-            for idx, nid in enumerate(order):
-                self._ring_pred[nid] = order[(idx - 1) % m]
-                self._ring_succ[nid] = order[(idx + 1) % m]
 
     def occupancy(self) -> list:
         return [len(m) for m in self.channel_members]
@@ -604,16 +605,6 @@ class Simulation:
             return self._led_prev[nid]
         return node.phi
 
-    def _ledger_commit(self, node: NodeState, value: float, t: float):
-        """Record a ledger update's new value and reschedule from it (step()
-        queues it)."""
-        self._led_prev[node.node_id] = node.phi
-        node.update_count += 1
-        node.phi = value
-        T = self.config.period
-        # queue keys compare faster as Python floats than numpy scalars
-        self._next_fire[node.node_id] = float(t + T * (1.0 - (t / T + value) % 1.0))
-
     def _ledger_desync_update(self, listener: NodeState, event: FireEvent):
         """Analytical-model update: neighbours' values are read at the
         listener's previous update index, whether or not they have been
@@ -630,7 +621,12 @@ class Simulation:
         if p_succ <= p_own:
             p_succ += 1.0
         new_val = (pred_val + (1.0 - alpha) * p_own + (alpha / 2.0) * p_succ) % 1.0
-        self._ledger_commit(listener, new_val, event.time)
+        self._led_prev[i] = listener.phi
+        listener.update_count += 1
+        listener.phi = new_val
+        t, T = event.time, self.config.period
+        # step() queues it; queue keys compare faster as Python floats than numpy scalars
+        self._next_fire[i] = float(t + T * (1.0 - (t / T + new_val) % 1.0))
 
     def _sync_pull(self, theta: float) -> float:
         """Consensus pull toward the firing instant, the short way around:
@@ -646,12 +642,10 @@ class Simulation:
         return (1.0 - gamma) * theta
 
     def _on_fire_sync(self, listener: NodeState, event: FireEvent, announced: float):
+        """The consensus pull at the next channel's Sync fire. Sync nodes
+        exist only on several channels, where assumption1 is rejected, so
+        this is always the live update."""
         t = event.time
-        if self.config.staleness_mode == "assumption1":
-            next_val = self._ledger_value(event.node_id, listener.update_count)
-            theta_new = self._sync_pull((listener.phi - next_val) % 1.0)
-            self._ledger_commit(listener, (next_val + theta_new) % 1.0, t)
-            return
         period = self.config.period
         theta_new = self._sync_pull(self._pending_phase(listener, t))
         listener.update_count += 1
@@ -686,7 +680,7 @@ class Simulation:
         if syncs is not None:
             f = offsets[syncs]
             diffs = _circdiff(f[1:] - f[:-1])
-        return _objective_sum(_channel_residuals(vectors), diffs)
+        return channel_objective(vectors, diffs)
 
     def objective_of(self, offsets: np.ndarray) -> float:
         """Gap objective on recovered offsets: per-channel equispacing terms

@@ -130,6 +130,11 @@ class ExperimentSpec:
                 raise SpecError("mode event-sim needs n >= 1")
             if channels < 1:
                 raise SpecError(f"mode event-sim needs channels >= 1, got {channels}")
+            if self.staleness_mode == "assumption1" and channels > 1:
+                raise SpecError(
+                    "staleness_mode assumption1 is exact only on one channel; "
+                    f"it needs channels 1, got channels {channels}"
+                )
         if self.trials < 1:
             raise SpecError(f"trials must be >= 1, got {self.trials}")
         if self.seed_base < 0 or self.seed_base + self.trials > 2**64:
@@ -514,19 +519,22 @@ def write_simulation_json(result: SimulationResult, cfg: SimConfig, path):
 
 
 def emit_plotdata(result: SweepResult, out_dir):
-    """Gnuplot-style series files (one per mode/n/channels/epsilon) plus a
-    JSON summary that round-trips back into the sweep statistics."""
+    """Gnuplot-style series files (one per mode/n/channels/gamma/epsilon;
+    a `.dat` row holds no gamma, so the modes with a gamma grid get one file
+    per gamma, named `..._g{gamma}_eps...`) plus a JSON summary that
+    round-trips back into the sweep statistics."""
     os.makedirs(out_dir, exist_ok=True)
     groups: dict = {}
     for r in result.rows:
-        groups.setdefault((r.mode, r.n, r.channels, r.epsilon), []).append(r)
+        gamma = None if r.mode in _SINGLE else r.gamma
+        groups.setdefault((r.mode, r.n, r.channels, gamma, r.epsilon), []).append(r)
     paths = []
-    for (mode, n, channels, epsilon), rows in sorted(groups.items()):
-        fname = f"{mode}_n{n}_c{channels}_eps{epsilon:g}.dat"
-        path = os.path.join(out_dir, fname)
+    for (mode, n, channels, gamma, epsilon), rows in sorted(groups.items()):
+        g = "" if gamma is None else f"_g{gamma:g}"
+        path = os.path.join(out_dir, f"{mode}_n{n}_c{channels}{g}_eps{epsilon:g}.dat")
         with open(path, "w") as fh:
             fh.write("# alpha mean_rounds max_rounds std_rounds speedup_pct\n")
-            for r in sorted(rows, key=lambda x: (x.alpha, x.gamma)):
+            for r in sorted(rows, key=attrgetter("alpha")):
                 fh.write(
                     f"{_fmt(r.alpha)} {_fmt(r.mean_rounds)} {_fmt(float(r.max_rounds))} "
                     f"{_fmt(r.std_rounds)} {_fmt(r.speedup_pct)}\n"

@@ -4,8 +4,9 @@ The single-channel objective measures half the squared deviation of every
 consecutive phase gap (including the wrap-around gap) from the ideal 1/n.
 The multichannel objective sums that per channel and adds a consensus
 penalty on the first node of each channel against the next channel's first
-node, cyclically. Their gradients, which the rounds apply in closed form,
-are test oracles (tests/oracles.py).
+node, cyclically. Every objective is summed here, in one arithmetic
+(gap_terms) but for the batch loop's multichannel sum. Their gradients,
+which the rounds apply in closed form, are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -37,38 +38,52 @@ def gap_residual(phi: np.ndarray) -> np.ndarray:
     return r
 
 
-def _objective_sum(residuals, consensus: np.ndarray | None = None) -> float:
-    """0.5 * r @ r summed over the per-channel residuals in channel order,
-    starting from 0.0, plus 0.5 * d @ d of the first-node consensus
-    differences when given. The engine's and the simulator's objectives both
-    add up here, so the traces' objective bits depend on this order alone."""
-    total = 0.0
-    for r in residuals:
-        total += 0.5 * float(r.dot(r))
-    if consensus is not None:
-        total += 0.5 * float(consensus.dot(consensus))
-    return total
+def gap_terms(phi: np.ndarray) -> np.ndarray:
+    """0.5 * r @ r of the gap residual along the last axis, per row, by
+    np.vecdot: every row, stacked or strided, gets its own ndarray.dot bits."""
+    r = gap_residual(phi)
+    return 0.5 * np.vecdot(r, r)
 
 
 def desync_objective(phi, problem: SingleChannelProblem) -> float:
     """0.5 * || gap residual ||^2; zero exactly on the equispaced states."""
-    return _objective_sum([gap_residual(as_phase_vector(phi, problem.n))])
+    return float(gap_terms(as_phase_vector(phi, problem.n)))
 
 
-def _channel_residuals(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each channel vector's gap residual, in channel order. Vectors of equal
-    length take theirs from one gap_residual call on their stacked rows,
-    which gives every row the bits of its own call."""
-    residuals = [None] * len(vectors)
+def channel_objective(vectors: Sequence[np.ndarray], consensus=None) -> float:
+    """The channel vectors' gap terms (one gap_terms call per length) added
+    in channel order from 0.0, plus 0.5 * d @ d of the first-node consensus
+    differences if given: the one order of the engine's and simulator's."""
+    terms = {}
     for size in {vec.size for vec in vectors}:
         cs = [c for c, vec in enumerate(vectors) if vec.size == size]
-        for c, r in zip(cs, gap_residual(np.array([vectors[c] for c in cs]))):
-            residuals[c] = r
-    return residuals
+        terms.update(zip(cs, gap_terms(np.array([vectors[c] for c in cs])).tolist()))
+    total = 0.0
+    for c in range(len(vectors)):
+        total += terms[c]
+    if consensus is not None:
+        total += 0.5 * float(consensus.dot(consensus))
+    return total
 
 
 def multichannel_objective(phis: Sequence, problem: MultichannelProblem) -> float:
     """Sum of per-channel gap objectives plus the cyclic first-node consensus penalty."""
     phis = as_channel_vectors(phis, problem)
     first = np.array([p[0] for p in phis])
-    return _objective_sum(_channel_residuals(phis), np.roll(first, -1) - first)
+    return channel_objective(phis, np.roll(first, -1) - first)
+
+
+def batch_multichannel_objective(phi: np.ndarray) -> np.ndarray:
+    """Joint objective for a ([rounds,] trials, C, n) batch: the one second
+    summation order, numpy's pairwise sum over each trial's C * n squared
+    residuals. Per-channel vecdot sums would match channel_objective, but
+    made the 16 x 4-node CLI sweep 17-37 % slower (a BLAS call per row)."""
+    r = gap_residual(phi)
+    r *= r
+    per_channel = 0.5 * r.sum(axis=(-2, -1))
+    first = phi[..., 0]
+    d = np.empty(first.shape)
+    np.subtract(first[..., 1:], first[..., :-1], out=d[..., :-1])  # roll(first, -1) - first
+    np.subtract(first[..., 0], first[..., -1], out=d[..., -1])
+    d *= d
+    return per_channel + 0.5 * d.sum(axis=-1)

@@ -164,6 +164,14 @@ def momentum_coefficient(k: int) -> float:
     return (k - 1) / (k + 2)
 
 
+def momentum_step(nxt: np.ndarray, old: np.ndarray, k: int, out=None) -> np.ndarray:
+    """Round k's momentum vector (nxt - old) * m_k + nxt, into `out` if given:
+    the bits of nxt + m_k (nxt - old), as + and * commute exactly."""
+    out = np.subtract(nxt, old, out=out)
+    np.multiply(out, momentum_coefficient(k), out=out)
+    return np.add(out, nxt, out=out)
+
+
 def _joint_round(phis: list, mus: list | None, k: int, alpha: float,
                  gamma: float | None = None) -> tuple[list, list | None]:
     """Round k on per-channel vectors, the one iteration of all four round
@@ -180,8 +188,7 @@ def _joint_round(phis: list, mus: list | None, k: int, alpha: float,
             nxt[0] = first[c]
     if mus is None:
         return phi_new, None
-    coef = momentum_coefficient(k)
-    mu_new = [nxt + coef * (nxt - old) for nxt, old in zip(phi_new, phis)]
+    mu_new = [momentum_step(nxt, old, k) for nxt, old in zip(phi_new, phis)]
     if gamma is not None:
         for m, nxt in zip(mu_new, phi_new):
             m[0] = nxt[0]

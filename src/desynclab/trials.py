@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import gap_residual
+from .objectives import batch_multichannel_objective, gap_terms
 from .problems import MultichannelProblem, SingleChannelProblem, beta_to_alpha
-from .rounds import desync_map, diverging, momentum_coefficient, sync_map
+from .rounds import desync_map, diverging, momentum_step, sync_map
 from .spectral import momentum_onset
 
 TIE_JITTER = 1e-12
@@ -199,27 +199,8 @@ def initial_multichannel_batch(
     return _sorted_starts(trials, (channels, nodes_per_channel), seed_base, resample)
 
 
-# Pairwise numpy sums, not objectives.py's dot: the two differ in the last bit
-# on 505-854 of 2,000 random starts per n, for n = 4 to 1024.
-def batch_gap_objective(phi: np.ndarray) -> np.ndarray:
-    """Single-channel objective along the last axis of a ([rounds,] trials, n)
-    batch."""
-    r = gap_residual(phi)
-    r *= r
-    return 0.5 * np.add.reduce(r, axis=-1)
-
-
-def batch_multichannel_objective(phi: np.ndarray) -> np.ndarray:
-    """Joint objective for a ([rounds,] trials, C, n) batch."""
-    r = gap_residual(phi)
-    r *= r
-    per_channel = 0.5 * r.sum(axis=(-2, -1))
-    first = phi[..., 0]
-    d = np.empty(first.shape)
-    np.subtract(first[..., 1:], first[..., :-1], out=d[..., :-1])  # roll(first, -1) - first
-    np.subtract(first[..., 0], first[..., -1], out=d[..., -1])
-    d *= d
-    return per_channel + 0.5 * d.sum(axis=-1)
+# module globals, read at call time: benchmark tracing wraps them by name
+batch_gap_objective = gap_terms
 
 
 @dataclass
@@ -300,11 +281,7 @@ def _run_batch(
                 if gamma is not None:
                     sync_map(phi[..., 0], gamma, out=nxt[..., 0], work=sync_work)
                 if fast:
-                    # mu = (nxt - phi) * coef + nxt in mu's buffer: the same
-                    # bits as nxt + coef * (nxt - phi), since + and * commute exactly
-                    np.subtract(nxt, phi, out=mu)
-                    np.multiply(mu, momentum_coefficient(k), out=mu)
-                    np.add(mu, nxt, out=mu)
+                    momentum_step(nxt, phi, k, out=mu)
                     if gamma is not None:
                         mu[..., 0] = nxt[..., 0]
                 phi = nxt

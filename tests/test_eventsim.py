@@ -436,6 +436,17 @@ def test_assumption1_rejects_loss_and_nesterov():
         SimConfig(n=4, staleness_mode="assumption1", adjacency=adj)
 
 
+def test_assumption1_rejects_several_channels():
+    # exact only on one channel: with several, the simulator's rooted Sync
+    # chain is not the engine's circulant consensus row
+    match = ("^staleness_mode='assumption1' is exact only on one channel; "
+             "it requires channels=1, got channels=2$")
+    with pytest.raises(ValueError, match=match):
+        SimConfig(n=8, channels=2, staleness_mode="assumption1")
+    SimConfig(n=8, channels=2)
+    SimConfig(n=8, channels=1, staleness_mode="assumption1")
+
+
 def test_nesterov_sim_converges_faster_on_average():
     plain, fast = [], []
     for seed in range(25):

@@ -33,9 +33,6 @@ CONFIGS = {
                  rng_seed=3, max_rounds=3000),
     "assumption1": dict(n=7, channels=1, alpha=0.5, epsilon=1e-300,
                         staleness_mode="assumption1", rng_seed=5, max_rounds=40),
-    # two channels: the ledger's Sync branch
-    "assumption1-multi": dict(n=8, channels=2, alpha=0.6, gamma=0.6, epsilon=1e-300,
-                              staleness_mode="assumption1", rng_seed=1, max_rounds=40),
     "lossy": dict(n=8, channels=2, alpha=0.6, gamma=0.6, epsilon=1e-4,
                   loss_probability=0.2, rng_seed=9, max_rounds=400),
     # settles by offset drift with two order changes, not by epsilon
@@ -59,7 +56,6 @@ CONFIGS = {
 GOLDEN = {
     # name: (trace digest, steady_round, order_change_rounds)
     "assumption1": ("bf5767240815f0d271e2f767986f74a96b4c14f82989c9cd347d704c04503676", None, 0),
-    "assumption1-multi": ("6d1e33c74dec9e3beb9b24624de4afb07605005b096fff26293f3619e6b8bf6d", None, 0),
     "hidden": ("da24b5c570677cd98dc98e3de72f8eacec3f002e913afad078439cf523f686f5", 98, 2),
     "live": ("3448842d887c1696226440b7b070b3392a7b464adaf70684d09e44f89b7657e8", 32, 0),
     "lopsided": ("15d580dcbe335e1638bf1990e61ca469c17e8cb19061817dd5b79e5aa731173f", 37, 0),

@@ -178,7 +178,7 @@ BASE_CONFIGS = {
     "event-sim": "mode: event-sim\nn: 4\n",
 }
 MODE_KEY_VALUES = {
-    "n": "4", "channels": "3", "nodes_per_channel": "4", "gamma": "[0.3]",
+    "n": "4", "channels": "1", "nodes_per_channel": "4", "gamma": "[0.3]",
     "loss_probability": "0.5", "staleness_mode": "assumption1",
 }
 UNREAD_KEYS = [
@@ -225,9 +225,12 @@ def test_parse_accepts_every_key_its_mode_reads():
     (parse_spec, MINIMAL + "max_rounds: 0\n", "^max_rounds must be >= 1$"),
     (lambda text: compare_bounds(parse_spec(text)), BASE_CONFIGS["much"],
      "^bound comparison needs a single-channel mode$"),
+    (parse_spec, "mode: event-sim\nn: 8\nchannels: 2\nstaleness_mode: assumption1\n",
+     "^staleness_mode assumption1 is exact only on one channel; "
+     "it needs channels 1, got channels 2$"),
 ], ids=["malformed", "not-a-mapping", "epsilon-zero", "much-channels-1",
         "much-nodes-1", "eventsim-n-0", "loss-1", "loss-negative", "max-rounds-0",
-        "bounds-on-much"])
+        "bounds-on-much", "assumption1-channels-2"])
 def test_spec_validation_messages(call, text, match):
     with pytest.raises(SpecError, match=match):
         call(text)
@@ -504,6 +507,27 @@ def test_emit_plotdata_and_summary_round_trip(tmp_path):
                 assert math.isnan(vb)
             else:
                 assert va == vb
+
+
+def test_emit_plotdata_writes_one_series_per_gamma(tmp_path):
+    # a .dat row carries no gamma, so each gamma of a multichannel grid gets
+    # its own file; single-channel names carry none
+    much = run_sweep(small_spec(mode="much", n=None, channels=3, nodes_per_channel=4,
+                                alphas=(0.4,), gammas=(0.3, 0.6), trials=3))
+    names = sorted(os.path.basename(p) for p in emit_plotdata(much, tmp_path / "much"))
+    assert names == [
+        "fast-much_n4_c3_g0.3_eps0.001.dat", "fast-much_n4_c3_g0.6_eps0.001.dat",
+        "much_n4_c3_g0.3_eps0.001.dat", "much_n4_c3_g0.6_eps0.001.dat", "summary.json",
+    ]
+    for gamma in (0.3, 0.6):
+        (row,) = [r for r in much.rows if r.mode == "much" and r.gamma == gamma]
+        lines = (tmp_path / "much" / f"much_n4_c3_g{gamma}_eps0.001.dat").read_text()
+        assert [float(v) for v in lines.splitlines()[1].split()] == [
+            row.alpha, row.mean_rounds, row.max_rounds, row.std_rounds, row.speedup_pct]
+    single = run_sweep(small_spec(trials=3))
+    names = sorted(os.path.basename(p) for p in emit_plotdata(single, tmp_path / "single"))
+    assert names == ["desync_n4_c1_eps0.001.dat", "fast-desync_n4_c1_eps0.001.dat",
+                     "summary.json"]
 
 
 def test_load_summary_defaults_missing_keys_and_ignores_unknown(tmp_path):

@@ -1,17 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desynclab import (
+    DesyncState,
     MultichannelProblem,
     MultichannelState,
+    NesterovState,
     SingleChannelProblem,
     desync_objective,
     multichannel_objective,
+    run_until_convergence,
     sync_desync_round,
 )
 from desynclab.rounds import desync_map
+from desynclab.trials import batch_gap_objective, initial_phase_batch
 
 from oracles import desync_gradient, multichannel_gradient_channel
 
@@ -232,3 +238,66 @@ def test_objective_zero_exactly_on_translated_equispaced():
     bent = equi.copy()
     bent[2] += 1e-3
     assert desync_objective(bent, p) > 0.0
+
+
+def test_vecdot_rows_equal_ndarray_dot():
+    # gap_terms sums with np.vecdot on the strength of this: every row gets
+    # the bits of its own ndarray.dot, for 1-D, stacked and strided rows. A
+    # numpy that changes either loop fails here instead of shifting outputs.
+    rng = np.random.default_rng(10)
+    for n in range(1, 301):
+        x = rng.random(n) - 0.5
+        assert np.vecdot(x, x) == x.dot(x)
+        stack = rng.random((3, 4, n)) - 0.5
+        strided = (rng.random((4, 3, 2 * n)) - 0.5)[::2, :, ::2]
+        for rows in (stack, strided):
+            v = np.vecdot(rows, rows)
+            assert v.shape == rows.shape[:-1]
+            for i in np.ndindex(v.shape):
+                assert v[i] == rows[i].dot(rows[i])
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 16, 64, 257, 1024])
+def test_batch_gap_objective_equals_engine_objective(n):
+    # the batch loop and the engine read one arithmetic, so every trial's
+    # value is the engine's to the bit, on sampled starts and on a
+    # (rounds, trials, n) block of states
+    problem = SingleChannelProblem(n, 0.5, 1e-3)
+    starts = initial_phase_batch(n, 200, seed_base=n)
+    values = batch_gap_objective(starts)
+    assert all(values[t] == desync_objective(starts[t], problem) for t in range(200))
+    block = np.random.default_rng(n).random((8, 25, n)) * 3.0
+    values = batch_gap_objective(block)
+    assert values.shape == (8, 25)
+    for k, t in np.ndindex(values.shape):
+        assert values[k, t] == desync_objective(block[k, t], problem)
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_engine_runs_emit_no_runtime_warning(fast):
+    # np.vecdot is a ufunc and reports overflow, where ndarray.dot did not:
+    # converging and diverging engine runs of every variant must keep their
+    # objectives inside the float range
+    rng = np.random.default_rng(11)
+    runs = [
+        (SingleChannelProblem(16, 0.3, 1e-4), None),
+        (SingleChannelProblem(16, 0.8, 1e-4), 1e-4),
+        (MultichannelProblem.uniform(3, 4, 0.2, 0.6), 1e-4),
+        (MultichannelProblem.uniform(3, 4, 0.45, 0.6), 1e-4),
+    ]
+    aborted = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for problem, epsilon in runs:
+            if isinstance(problem, SingleChannelProblem):
+                phi0 = np.sort(rng.random(problem.n))
+                state = NesterovState.initial(phi0) if fast else DesyncState(phi0)
+            else:
+                phis = [np.sort(rng.random(4)) for _ in range(3)]
+                state = MultichannelState.initial(phis, nesterov=fast)
+            try:
+                run_until_convergence(state, problem, epsilon=epsilon)
+            except FloatingPointError as exc:
+                assert "diverged at round" in str(exc)
+                aborted += 1
+    assert aborted == (2 if fast else 0)  # alpha 0.8 and beta 0.45 are past the onset
