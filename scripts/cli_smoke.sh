@@ -33,6 +33,13 @@ printf 'mode: event-sim\nn: 4\nalpha: [0.3, 0.5]\nepsilon: 1e-3\n' > two-alpha.y
 printf 'mode: desync\nn: 8\ngamma: [0.6]\n' > unread.yaml
 rc=0; desynclab simulate --config two-alpha.yaml --out cli-out || rc=$?; test "$rc" -eq 2
 rc=0; desynclab sweep --config unread.yaml --out cli-out || rc=$?; test "$rc" -eq 2
+# a spec the simulator rejects, and a command given a mode it does not run,
+# exit 2 before the output directory is made
+printf 'mode: event-sim\nn: 4\nloss_probability: 0.5\nstaleness_mode: assumption1\n' > lossy-ledger.yaml
+rc=0; desynclab sweep --config lossy-ledger.yaml --out no-out || rc=$?; test "$rc" -eq 2
+test ! -e no-out
+rc=0; desynclab bounds --config much.yaml --out no-out || rc=$?; test "$rc" -eq 2
+test ! -e no-out
 # a summary whose spec fails its checks exits 2, as a config would
 sed 's/"trials": 16/"trials": 0/' cli-out/summary.json > bad-summary.json
 rc=0; desynclab plotdata --summary bad-summary.json --out cli-out/bad || rc=$?; test "$rc" -eq 2

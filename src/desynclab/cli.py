@@ -17,6 +17,8 @@ from .experiments import (
     EXIT_TRIAL_FAILURE,
     EXIT_VALIDATION,
     SpecError,
+    _MULTI,
+    _SINGLE,
     _sim_config,
     compare_bounds,
     emit_plotdata,
@@ -40,6 +42,18 @@ def _load_spec(args):
     }
     with open(args.config) as fh:
         spec = parse_spec(fh.read(), overrides)
+    # what each command needs of the spec, checked before `out` is made
+    if args.command == "bounds" and spec.mode not in _SINGLE:
+        raise SpecError("bound comparison needs a single-channel mode")
+    if args.command == "spectra" and spec.mode not in _MULTI:
+        raise SpecError("spectra certification needs mode much or fast-much")
+    if args.command == "simulate":
+        if spec.mode != "event-sim":
+            raise SpecError("simulate needs mode event-sim")
+        grids = {"alpha": spec.alphas, "gamma": spec.gammas, "epsilon": spec.epsilons}
+        for key, grid in grids.items():
+            if len(grid) > 1:
+                raise SpecError(f"simulate runs one point: {key} has {len(grid)} values")
     # made before the run, so an unusable `out` costs no work
     try:
         os.makedirs(spec.out_dir, exist_ok=True)
@@ -75,8 +89,6 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_spectra(args) -> int:
     spec = _load_spec(args)
-    if spec.mode not in ("much", "fast-much"):
-        raise SpecError("spectra certification needs mode much or fast-much")
     betas = tuple(a / 2.0 for a in spec.alphas)
     rows = certify_spectra((spec.nodes_per_channel,), (spec.channels,), betas, spec.gammas)
     csv_path = os.path.join(spec.out_dir, "spectra.csv")
@@ -88,12 +100,6 @@ def _cmd_spectra(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args)
-    if spec.mode != "event-sim":
-        raise SpecError("simulate needs mode event-sim")
-    grids = {"alpha": spec.alphas, "gamma": spec.gammas, "epsilon": spec.epsilons}
-    for key, grid in grids.items():
-        if len(grid) > 1:
-            raise SpecError(f"simulate runs one point: {key} has {len(grid)} values")
     cfg = _sim_config(spec, spec.alphas[0], spec.gammas[0], spec.epsilons[0], spec.seed_base)
     result = run_simulation(cfg)
     trace_path = os.path.join(spec.out_dir, "trace.csv")

@@ -69,6 +69,32 @@ def _circdiff(x):
     return (x + 0.5) % 1.0 - 0.5
 
 
+# The fire rules. Each takes Python floats or numpy arrays and gives the same
+# bits either way; Simulation calls them with floats.
+
+def desync_midpoint(p_own, p_succ, alpha):
+    """The Desync midpoint pull on positions relative to the firer (the
+    predecessor, at 0): (1-alpha) p_own + (alpha/2) p_succ. The successor
+    fired ahead of the listener, so a p_succ at or below p_own (a full cycle
+    ahead, the two-node case, or collapsed by rounding) is lifted by 1."""
+    p_succ = p_succ + (p_succ <= p_own)
+    return (1.0 - alpha) * p_own + (alpha / 2.0) * p_succ
+
+
+def momentum_shift(new, old, k):
+    """Fast Desync's extrapolation at update k: (k-1)/(k+2) times the circle
+    step from the old position to the new one."""
+    return momentum_coefficient(k) * _circdiff(new - old)
+
+
+def sync_pull(theta, gamma):
+    """The Sync node's two-sided consensus pull (see the module docstring):
+    (1-gamma) theta, plus gamma for theta >= 1/2. A result of exactly 1
+    means "fire together now" and is not wrapped: rescheduling it a full
+    period out would skip the imminent fire."""
+    return (1.0 - gamma) * theta + gamma * (theta >= 0.5)
+
+
 class SwapError(ValueError):
     """Channel-swap precondition violation."""
 
@@ -270,19 +296,18 @@ class Simulation:
                 self._elect(c)
         self._requeue()
 
-        # analytical-staleness ledger (one channel): the firing ring fixed
-        # from the initial phase order, each node's predecessor the
-        # next-lower phase (cyclic), plus per-node previous iterate values;
-        # the current value of node i is nodes[i].phi
+        # the Desync rule, chosen once. assumption1 (one channel) reads an
+        # analytical-staleness ledger: the firing ring fixed from the initial
+        # phase order, each node's predecessor the next-lower phase (cyclic),
+        # plus per-node previous iterate values; the current value of node i
+        # is nodes[i].phi
         if config.staleness_mode == "assumption1":
-            self._ring_pred = np.full(n, -1, dtype=int)
-            self._ring_succ = np.full(n, -1, dtype=int)
-            self._led_prev = phases.astype(np.float64).copy()
-            if n > 1:
-                order = sorted(range(n), key=lambda i: (self.nodes[i].phi, i))
-                for idx, nid in enumerate(order):
-                    self._ring_pred[nid] = order[idx - 1]
-                    self._ring_succ[nid] = order[(idx + 1) % n]
+            order = sorted(range(n), key=lambda i: (self.nodes[i].phi, i))
+            self._ring_pred, self._ring_succ = [0] * n, [0] * n
+            for a, b in zip(order, order[1:] + order[:1]):
+                self._ring_succ[a], self._ring_pred[b] = b, a
+            self._led_prev = [nd.phi for nd in self.nodes]
+            self._on_fire_desync = self._ledger_desync_update
 
     # ---------------- topology & roles ----------------
 
@@ -422,14 +447,6 @@ class Simulation:
         snapshot.flags.writeable = False
         return snapshot
 
-    def _pending_phase(self, node: NodeState, t: float) -> float:
-        """The node's phase at time t, read from its pending fire: time-to-fire
-        is exact where it matters, while the (t/T + phi) mod 1 form is
-        ill-conditioned at fire instants and can read 0 for a node whose fire
-        is imminent, which would silently skip that fire on reschedule. The
-        Desync update reads it inline."""
-        return max(0.0, 1.0 - (self._next_fire[node.node_id] - t) / self.config.period)
-
     def advance_to_next_fire(self) -> FireEvent:
         """Advance the clock to the earliest phase-1 crossing; the firer wraps
         to phase 0 and its next fire is scheduled one period later. Ties break
@@ -556,39 +573,31 @@ class Simulation:
             self._prev_round_order = None
 
     def _on_fire_desync(self, listener: NodeState, event: FireEvent, announced: float):
-        """Midpoint update at the predecessor's fire, for a listener awaiting
-        its update since its own fire; skipped while caches are cold (live
-        mode). The listener has missed every fire since its own, so its
+        """The live midpoint update at the predecessor's fire, for a listener
+        awaiting its update since its own fire; skipped while caches are
+        cold. The listener has missed every fire since its own, so its
         last_heard_offset still holds the announcement it heard just before
-        that fire: its successor's."""
-        cfg = self.config
-        if cfg.staleness_mode == "assumption1":
-            self._ledger_desync_update(listener, event)
-            return
+        that fire: its successor's. assumption1 binds the ledger update in
+        its place."""
         succ = listener.last_heard_offset
         if succ is None:
             return
-        nid, alpha, period, t = listener.node_id, cfg.alpha, cfg.period, event[0]
+        cfg = self.config
+        nid, period, t = listener.node_id, cfg.period, event[0]
         next_fire = self._next_fire
-        # the pending phase, read as _pending_phase reads it
+        # the pending phase, as _on_fire_sync reads it
         p_own = 1.0 - (next_fire[nid] - t) / period
         p_own = p_own if p_own > 0.0 else 0.0
-        # successor position relative to the firer; the successor fired ahead
-        # of the listener, so lift near-zero values (a full cycle ahead, the
-        # two-node case) past p_own instead of letting rounding collapse them
-        p_succ = (succ - announced) % 1.0
-        if p_succ <= p_own:
-            p_succ += 1.0
-        p_new = (1.0 - alpha) * p_own + (alpha / 2.0) * p_succ
+        # positions relative to the firer
+        p_new = desync_midpoint(p_own, (succ - announced) % 1.0, cfg.alpha)
         new_pos = (announced + p_new) % 1.0
         if cfg.use_nesterov:
             k = listener.update_count + 1
             listener.update_count = k
-            coef = momentum_coefficient(k)
-            delta = _circdiff(new_pos - listener.pos_phi)
+            shift = momentum_shift(new_pos, listener.pos_phi, k)
             listener.pos_phi = new_pos
-            listener.phi = (new_pos + coef * delta) % 1.0
-            theta_new = (p_new + coef * delta) % 1.0
+            listener.phi = (new_pos + shift) % 1.0
+            theta_new = (p_new + shift) % 1.0
         else:
             listener.update_count += 1
             listener.phi = new_pos
@@ -605,41 +614,27 @@ class Simulation:
             return self._led_prev[nid]
         return node.phi
 
-    def _ledger_desync_update(self, listener: NodeState, event: FireEvent):
-        """Analytical-model update: neighbours' values are read at the
-        listener's previous update index, whether or not they have been
-        announced yet."""
+    def _ledger_desync_update(self, listener: NodeState, event: FireEvent, announced: float):
+        """Analytical-model update (assumption1): neighbours' values are read
+        at the listener's previous update index, whether or not they have
+        been announced yet. A single node never updates: it is the only
+        member, and the firer misses its own fire."""
         i = listener.node_id
-        pred, succ = self._ring_pred[i], self._ring_succ[i]
-        if pred < 0:
-            return
-        pred_val = self._ledger_value(pred, listener.update_count)
-        succ_val = self._ledger_value(succ, listener.update_count)
+        pred_val = self._ledger_value(self._ring_pred[i], listener.update_count)
+        succ_val = self._ledger_value(self._ring_succ[i], listener.update_count)
         alpha = self.config.alpha
         p_own = (listener.phi - pred_val) % 1.0
         p_succ = (succ_val - pred_val) % 1.0
-        if p_succ <= p_own:
-            p_succ += 1.0
+        p_succ = p_succ + (p_succ <= p_own)
+        # the second copy of the weighted sum, added to pred_val term by term:
+        # grouped as desync_midpoint groups it, last bits move and the
+        # assumption1 trace is no longer the one its golden digest pins
         new_val = (pred_val + (1.0 - alpha) * p_own + (alpha / 2.0) * p_succ) % 1.0
         self._led_prev[i] = listener.phi
         listener.update_count += 1
         listener.phi = new_val
         t, T = event.time, self.config.period
-        # step() queues it; queue keys compare faster as Python floats than numpy scalars
-        self._next_fire[i] = float(t + T * (1.0 - (t / T + new_val) % 1.0))
-
-    def _sync_pull(self, theta: float) -> float:
-        """Consensus pull toward the firing instant, the short way around:
-        the theta >= 1/2 branch is the inhibitory pull toward 1; below 1/2
-        the node is just past the firer and eases back toward 0. The
-        one-sided pull would un-align an already synchronized pair and
-        sustains rotating waves on the cycle. A result of exactly 1 means
-        "fire together now" and is deliberately not wrapped: rescheduling
-        it a full period out would skip the imminent fire."""
-        gamma = self.config.gamma
-        if theta >= 0.5:
-            return (1.0 - gamma) * theta + gamma
-        return (1.0 - gamma) * theta
+        self._next_fire[i] = t + T * (1.0 - (t / T + new_val) % 1.0)  # step() queues it
 
     def _on_fire_sync(self, listener: NodeState, event: FireEvent, announced: float):
         """The consensus pull at the next channel's Sync fire. Sync nodes
@@ -647,7 +642,11 @@ class Simulation:
         this is always the live update."""
         t = event.time
         period = self.config.period
-        theta_new = self._sync_pull(self._pending_phase(listener, t))
+        # the pending phase, read from the pending fire: the (t/T + phi) mod 1
+        # form is ill-conditioned at fire instants and can read 0 for a node
+        # whose fire is imminent, which would skip that fire on reschedule
+        p = 1.0 - (self._next_fire[listener.node_id] - t) / period
+        theta_new = sync_pull(p if p > 0.0 else 0.0, self.config.gamma)
         listener.update_count += 1
         listener.phi = (theta_new - t / period) % 1.0
         self._next_fire[listener.node_id] = t + period * (1.0 - theta_new)  # step() queues it

@@ -147,6 +147,13 @@ class ExperimentSpec:
             raise SpecError(f"loss_probability out of [0,1): {self.loss_probability}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise SpecError("max_rounds must be >= 1")
+        if mode == "event-sim":
+            # the simulator's own checks, on every point the sweep runs
+            for a, g, e in product(self.alphas, self.gammas, self.epsilons):
+                try:
+                    _sim_config(self, a, g, e, self.seed_base)
+                except ValueError as exc:
+                    raise SpecError(str(exc)) from exc
 
 
 def _as_grid(value, name: str) -> tuple[float, ...]:
@@ -283,7 +290,7 @@ def _paired_rows(modes, plain, fast, **point) -> list[SweepRow]:
     accelerated variant's speed-up over the plain mean rounds."""
     mean_p = plain.rounds.mean()
     mean_f = fast.rounds.mean()
-    speedup = 100.0 * (mean_p - mean_f) / mean_p if mean_p > 0 else 0.0
+    speedup = float(100.0 * (mean_p - mean_f) / mean_p) if mean_p > 0 else 0.0
     return [_row(mode, res, speedup_pct=speedup, **point)
             for mode, res in zip(modes, (plain, fast))]
 

@@ -232,14 +232,19 @@ def test_simulate_records_its_point(tmp_path):
     ("simulate", "mode: event-sim\nn: 4\nalpha: 0.5\n",
      "simulate runs one point: epsilon has 2 values"),
     ("sweep", "mode: desync\nn: 8\ngamma: [0.6]\n", "mode desync does not read gamma"),
+    ("bounds", "mode: much\nchannels: 2\nnodes_per_channel: 3\n",
+     "bound comparison needs a single-channel mode"),
+    ("sweep", "mode: event-sim\nn: 4\nloss_probability: 0.5\nstaleness_mode: assumption1\n",
+     "assumption1 mode models perfect reception; it requires zero loss and full connectivity"),
 ], ids=["spectra-desync", "simulate-desync", "simulate-alpha-grid", "simulate-gamma-grid",
-        "simulate-epsilon-grid", "sweep-unread-key"])
+        "simulate-epsilon-grid", "sweep-unread-key", "bounds-much", "sweep-assumption1-loss"])
 def test_command_rejects_config(tmp_path, capsys, command, body, message):
+    # every check runs before the output directory is made
     cfg = write(tmp_path, "bad.yaml", body)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 def test_plotdata_command(tmp_path):

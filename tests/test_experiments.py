@@ -179,7 +179,7 @@ BASE_CONFIGS = {
 }
 MODE_KEY_VALUES = {
     "n": "4", "channels": "1", "nodes_per_channel": "4", "gamma": "[0.3]",
-    "loss_probability": "0.5", "staleness_mode": "assumption1",
+    "loss_probability": "0.0", "staleness_mode": "assumption1",
 }
 UNREAD_KEYS = [
     *[(mode, key) for mode in ("desync", "fast-desync")
@@ -228,9 +228,13 @@ def test_parse_accepts_every_key_its_mode_reads():
     (parse_spec, "mode: event-sim\nn: 8\nchannels: 2\nstaleness_mode: assumption1\n",
      "^staleness_mode assumption1 is exact only on one channel; "
      "it needs channels 1, got channels 2$"),
+    # the simulator's own checks run on the spec's points, so the sweep cannot fail on them
+    (parse_spec, "mode: event-sim\nn: 4\nloss_probability: 0.5\nstaleness_mode: assumption1\n",
+     "^assumption1 mode models perfect reception; it requires zero loss and full "
+     "connectivity$"),
 ], ids=["malformed", "not-a-mapping", "epsilon-zero", "much-channels-1",
         "much-nodes-1", "eventsim-n-0", "loss-1", "loss-negative", "max-rounds-0",
-        "bounds-on-much", "assumption1-channels-2"])
+        "bounds-on-much", "assumption1-channels-2", "assumption1-loss"])
 def test_spec_validation_messages(call, text, match):
     with pytest.raises(SpecError, match=match):
         call(text)
@@ -423,6 +427,14 @@ def test_sweep_produces_paired_rows_with_speedup():
         assert d.speedup_pct == f.speedup_pct
         expected = 100.0 * (d.mean_rounds - f.mean_rounds) / d.mean_rounds
         assert d.speedup_pct == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("kw", [
+    {}, dict(mode="much", n=None, channels=2, nodes_per_channel=3, alphas=(0.5,)),
+], ids=["desync", "much"])
+def test_paired_rows_hold_python_floats(kw):
+    rows = run_sweep(small_spec(**kw)).rows
+    assert rows and all(type(r.speedup_pct) is float for r in rows)
 
 
 def test_sweep_csv_deterministic(tmp_path):
