@@ -46,6 +46,17 @@ rc=0; desynclab plotdata --summary bad-summary.json --out cli-out/bad || rc=$?; 
 # so does one whose out_dir is not a string; reading it must not end in a traceback (exit 1)
 sed 's/"out_dir": "cli-out"/"out_dir": 7/' cli-out/summary.json > int-out-summary.json
 rc=0; desynclab plotdata --summary int-out-summary.json || rc=$?; test "$rc" -eq 2
+# a sweep writes the same bytes with one worker and with two, in each family
+printf 'mode: much\nchannels: 3\nnodes_per_channel: 4\nalpha: [0.3, 0.5]\ntrials: 16\n' > much-workers.yaml
+printf 'mode: event-sim\nn: 8\nchannels: 2\nalpha: [0.3, 0.5]\ntrials: 3\n' > sim-workers.yaml
+for name in sweep much-workers sim-workers; do
+    desynclab sweep --config "$name.yaml" --workers 1 --out "workers-1/$name"
+    desynclab sweep --config "$name.yaml" --workers 2 --out "workers-2/$name"
+    cmp "workers-1/$name/sweep.csv" "workers-2/$name/sweep.csv"
+done
+# a command accepts only the overrides it reads: the others exit 2 (usage)
+rc=0; desynclab spectra --config much.yaml --trials 4 || rc=$?; test "$rc" -eq 2
+rc=0; desynclab simulate --config sim.yaml --workers 2 || rc=$?; test "$rc" -eq 2
 # the shipped configs whose runs exit 0, writing under shipped/ rather than
 # the configs' own results/ paths. A batch-mode sweep of them exits 4 (some
 # trials fail at the default grids), so only the event-sim config is swept.

@@ -33,13 +33,18 @@ from .experiments import (
     certify_spectra,
 )
 
+# Each spec override's flag, and the config key, type and help it takes.
+_OVERRIDES = {
+    "seed": ("seed_base", int, "override seed_base"),
+    "trials": ("trials", int, "override trial count"),
+    "out": ("out", str, "override output directory"),
+    "workers": ("workers", int, "worker pool size"),
+}
+
+
 def _load_spec(args):
-    overrides = {
-        key: value
-        for key, value in (("seed_base", args.seed), ("trials", args.trials),
-                           ("out", args.out), ("workers", args.workers))
-        if value is not None
-    }
+    overrides = {key: value for flag, (key, _, _) in _OVERRIDES.items()
+                 if (value := getattr(args, flag, None)) is not None}
     with open(args.config) as fh:
         spec = parse_spec(fh.read(), overrides)
     # what each command needs of the spec, checked before `out` is made
@@ -124,18 +129,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desynchronization lab: sweeps, bounds, spectra, simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("sweep", _cmd_sweep),
-        ("bounds", _cmd_bounds),
-        ("spectra", _cmd_spectra),
-        ("simulate", _cmd_simulate),
+    # each command takes only the overrides it reads
+    for name, fn, flags in (
+        ("sweep", _cmd_sweep, ("seed", "trials", "out", "workers")),
+        ("bounds", _cmd_bounds, ("seed", "trials", "out", "workers")),
+        ("spectra", _cmd_spectra, ("out",)),
+        ("simulate", _cmd_simulate, ("seed", "out")),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override seed_base")
-        p.add_argument("--trials", type=int, default=None, help="override trial count")
-        p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--workers", type=int, default=None, help="worker pool size")
+        for flag in flags:
+            _, kind, text = _OVERRIDES[flag]
+            p.add_argument(f"--{flag}", type=kind, help=text)
         p.set_defaults(fn=fn)
     p = sub.add_parser("plotdata")
     p.add_argument("--summary", required=True, help="summary.json from a sweep")

@@ -45,7 +45,6 @@ it. Guard times are bookkeeping only; they never touch the phase math.
 
 from __future__ import annotations
 
-import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
@@ -54,6 +53,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .objectives import channel_objective
+from .problems import _as_int
 from .rounds import ConvergenceReport, momentum_coefficient
 
 
@@ -120,12 +120,10 @@ class SimConfig:
     steady_tol: float = 1e-7  # see STEADY_ROUNDS
 
     def __post_init__(self):
-        integers = {"n": self.n, "channels": self.channels}
+        self.n = _as_int(self.n, "n")
+        self.channels = _as_int(self.channels, "channels")
         if self.max_rounds is not None:
-            integers["max_rounds"] = self.max_rounds
-        for name, value in integers.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            self.max_rounds = _as_int(self.max_rounds, "max_rounds")
         # every range check below is written so that NaN fails it
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
@@ -553,7 +551,7 @@ class Simulation:
             if watcher is not None:
                 if self.message_delivered(watcher, firer_id):
                     pending = next_fire[watcher]
-                    self._on_fire_sync(nodes[watcher], event, announced)
+                    self._on_fire_sync(nodes[watcher], event)
                     if next_fire[watcher] != pending:
                         push(queue, (next_fire[watcher], c - 1, watcher))
         if push is heapreplace:
@@ -636,7 +634,7 @@ class Simulation:
         t, T = event.time, self.config.period
         self._next_fire[i] = t + T * (1.0 - (t / T + new_val) % 1.0)  # step() queues it
 
-    def _on_fire_sync(self, listener: NodeState, event: FireEvent, announced: float):
+    def _on_fire_sync(self, listener: NodeState, event: FireEvent):
         """The consensus pull at the next channel's Sync fire. Sync nodes
         exist only on several channels, where assumption1 is rejected, so
         this is always the live update."""

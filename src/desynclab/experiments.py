@@ -125,16 +125,6 @@ class ExperimentSpec:
                 raise SpecError(f"mode {mode} needs channels and nodes_per_channel")
             if channels < 2 or npc < 2:
                 raise SpecError("need channels >= 2 and nodes_per_channel >= 2")
-        else:  # event-sim
-            if n is None or n < 1:
-                raise SpecError("mode event-sim needs n >= 1")
-            if channels < 1:
-                raise SpecError(f"mode event-sim needs channels >= 1, got {channels}")
-            if self.staleness_mode == "assumption1" and channels > 1:
-                raise SpecError(
-                    "staleness_mode assumption1 is exact only on one channel; "
-                    f"it needs channels 1, got channels {channels}"
-                )
         if self.trials < 1:
             raise SpecError(f"trials must be >= 1, got {self.trials}")
         if self.seed_base < 0 or self.seed_base + self.trials > 2**64:
@@ -148,7 +138,8 @@ class ExperimentSpec:
         if self.max_rounds is not None and self.max_rounds < 1:
             raise SpecError("max_rounds must be >= 1")
         if mode == "event-sim":
-            # the simulator's own checks, on every point the sweep runs
+            # SimConfig alone checks n, channels and the staleness mode's
+            # rules, on every point the sweep runs
             for a, g, e in product(self.alphas, self.gammas, self.epsilons):
                 try:
                     _sim_config(self, a, g, e, self.seed_base)

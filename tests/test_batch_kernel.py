@@ -43,7 +43,7 @@ from test_batch_outcomes import (
     multichannel,
     single_channel,
 )
-from test_experiments import rows_equal, small_spec
+from test_experiments import small_spec
 
 REAL_DEFAULT_RNG = np.random.default_rng
 
@@ -395,11 +395,3 @@ def test_sweep_samples_start_batch_once(monkeypatch, mode, sampler, extra):
     assert len(calls) == 1
 
 
-def test_multichannel_sweep_worker_invariance():
-    spec = small_spec(mode="much", n=None, channels=3, nodes_per_channel=4,
-                      alphas=(0.4, 0.9), trials=4)
-    serial = ex.run_sweep(spec)
-    parallel = ex.run_sweep(ex.ExperimentSpec(**{**spec.__dict__, "workers": 2}))
-    assert len(serial.rows) == len(parallel.rows) == 4
-    for a, b in zip(serial.rows, parallel.rows):
-        rows_equal(a, b)

@@ -133,6 +133,27 @@ def test_overrides_pass_spec_checks(tmp_path, capsys, command, flag, value, key)
     assert capsys.readouterr().err.startswith(f"error: {key} must be >= ")
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", {"--seed", "--trials", "--out", "--workers"}),
+    ("bounds", {"--seed", "--trials", "--out", "--workers"}),
+    ("spectra", {"--out"}),
+    ("simulate", {"--seed", "--out"}),
+])
+def test_each_command_takes_only_the_overrides_it_reads(tmp_path, capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    offered = {word.strip("[,") for word in capsys.readouterr().out.split()
+               if word.startswith(("--", "[--"))}
+    assert offered == {"--help", "--config"} | flags
+    cfg = write(tmp_path, "spec.yaml", "mode: desync\nn: 4\n")
+    for flag in {"--seed", "--trials", "--workers"} - flags:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, flag, "2"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
 def test_bounds_command(tmp_path):
     cfg = write(
         tmp_path, "bounds.yaml",

@@ -102,18 +102,26 @@ def test_config_validation_messages(kw, match):
     (dict(alpha=np.nan), r"^alpha out of \(0,1\): nan$"),
     (dict(n=4.5), "^n must be an integer, got 4.5$"),
     (dict(n=True), "^n must be an integer, got True$"),
-    (dict(channels=2.0), "^channels must be an integer, got 2.0$"),
     (dict(max_rounds=2.5), "^max_rounds must be an integer, got 2.5$"),
     (dict(period=np.inf), "^period must be finite, got inf$"),
     (dict(guard_time=np.inf), "^guard_time must be finite, got inf$"),
 ], ids=["period-nan", "epsilon-nan", "steady-tol-nan", "guard-time-nan", "alpha-nan",
-        "n-fraction", "n-bool", "channels-float", "max-rounds-fraction", "period-inf",
-        "guard-time-inf"])
+        "n-fraction", "n-bool", "max-rounds-fraction", "period-inf", "guard-time-inf"])
 def test_config_rejects_nan_and_non_integers(kw, match):
     # built, a NaN period fails inside run() with an IndexError from the
     # fire queue, and a NaN epsilon runs to the cap without converging
     with pytest.raises(ValueError, match=match):
         single_channel_config(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(channels=2.0), dict(n=np.int64(4)), dict(max_rounds=np.int32(7)),
+], ids=["channels-float", "n-numpy", "max-rounds-numpy"])
+def test_config_normalises_integral_numbers(kw):
+    # the package's one integer reader, as ExperimentSpec and the problems use it
+    cfg = single_channel_config(**kw)
+    for name, value in kw.items():
+        assert getattr(cfg, name) == value and type(getattr(cfg, name)) is int
 
 
 @pytest.mark.parametrize("kw, match", [

@@ -146,7 +146,7 @@ def test_parse_rejects_non_string_out(value):
 
 @pytest.mark.parametrize("channels", [0, -2])
 def test_parse_rejects_eventsim_channels_below_one(channels):
-    with pytest.raises(SpecError, match="channels >= 1"):
+    with pytest.raises(SpecError, match=f"^channels must be >= 1, got {channels}$"):
         parse_spec(f"mode: event-sim\nn: 4\nchannels: {channels}\n")
     assert parse_spec("mode: event-sim\nn: 4\n").channels == 1
 
@@ -217,7 +217,8 @@ def test_parse_accepts_every_key_its_mode_reads():
      "^need channels >= 2 and nodes_per_channel >= 2$"),
     (parse_spec, "mode: fast-much\nchannels: 3\nnodes_per_channel: 1\n",
      "^need channels >= 2 and nodes_per_channel >= 2$"),
-    (parse_spec, "mode: event-sim\nn: 0\n", "^mode event-sim needs n >= 1$"),
+    (parse_spec, "mode: event-sim\nn: 0\n", "^n must be >= 1, got 0$"),
+    (parse_spec, "mode: event-sim\n", "^n must be an integer, got None$"),
     (parse_spec, "mode: event-sim\nn: 4\nloss_probability: 1.0\n",
      r"^loss_probability out of \[0,1\): 1\.0$"),
     (parse_spec, "mode: event-sim\nn: 4\nloss_probability: -0.1\n",
@@ -226,15 +227,15 @@ def test_parse_accepts_every_key_its_mode_reads():
     (lambda text: compare_bounds(parse_spec(text)), BASE_CONFIGS["much"],
      "^bound comparison needs a single-channel mode$"),
     (parse_spec, "mode: event-sim\nn: 8\nchannels: 2\nstaleness_mode: assumption1\n",
-     "^staleness_mode assumption1 is exact only on one channel; "
-     "it needs channels 1, got channels 2$"),
+     "^staleness_mode='assumption1' is exact only on one channel; "
+     "it requires channels=1, got channels=2$"),
     # the simulator's own checks run on the spec's points, so the sweep cannot fail on them
     (parse_spec, "mode: event-sim\nn: 4\nloss_probability: 0.5\nstaleness_mode: assumption1\n",
      "^assumption1 mode models perfect reception; it requires zero loss and full "
      "connectivity$"),
 ], ids=["malformed", "not-a-mapping", "epsilon-zero", "much-channels-1",
-        "much-nodes-1", "eventsim-n-0", "loss-1", "loss-negative", "max-rounds-0",
-        "bounds-on-much", "assumption1-channels-2", "assumption1-loss"])
+        "much-nodes-1", "eventsim-n-0", "eventsim-n-missing", "loss-1", "loss-negative",
+        "max-rounds-0", "bounds-on-much", "assumption1-channels-2", "assumption1-loss"])
 def test_spec_validation_messages(call, text, match):
     with pytest.raises(SpecError, match=match):
         call(text)
@@ -456,10 +457,17 @@ def rows_equal(a, b):
             assert va == vb, field
 
 
-def test_sweep_worker_invariance():
-    spec = small_spec(trials=4)
+@pytest.mark.parametrize("kw", [
+    dict(trials=4),
+    dict(mode="much", n=None, channels=3, nodes_per_channel=4, alphas=(0.4, 0.9), trials=4),
+    dict(mode="event-sim", n=8, channels=2, trials=3),
+], ids=["desync", "much", "event-sim"])
+def test_sweep_worker_invariance(kw):
+    spec = small_spec(**kw)  # two alphas, one gamma, one epsilon
     serial = run_sweep(spec)
-    parallel = run_sweep(ExperimentSpec(**{**spec.__dict__, "workers": 2}))
+    parallel = run_sweep(replace(spec, workers=2))
+    rows = 2 if spec.mode == "event-sim" else 4  # the batch modes pair plain and fast
+    assert len(serial.rows) == len(parallel.rows) == rows
     for a, b in zip(serial.rows, parallel.rows):
         rows_equal(a, b)
 

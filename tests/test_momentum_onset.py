@@ -25,7 +25,7 @@ from desynclab import (
     run_until_convergence,
 )
 from desynclab.rounds import default_max_rounds, momentum_coefficient
-from desynclab.spectral import momentum_onset
+from desynclab.spectral import desync_block_eigenvalues, momentum_onset
 from desynclab.trials import (
     initial_multichannel_batch,
     initial_phase_batch,
@@ -133,6 +133,32 @@ def test_fast_much_alpha_limit_equals_bisection(n, dense_desync_spectrum):
     below, above = limit / 2.0 * (1 - 1e-9), limit / 2.0 * (1 + 1e-6)
     assert momentum_onset(MultichannelProblem.uniform(3, n, below, 0.6)) is None
     assert momentum_onset(MultichannelProblem.uniform(3, n, above, 0.6)) is not None
+
+
+def most_negative_desync_eigenvalue(problem):
+    """In closed form, as the onset reads it: the float test sits on a tie,
+    where a dense eigensolve's last bit can move the answer."""
+    if isinstance(problem, MultichannelProblem):
+        return min(desync_block_eigenvalues(n, problem.beta).min() for n in problem.channel_counts)
+    j = np.arange(1, problem.n)
+    return (1.0 - problem.alpha + problem.alpha * np.cos(2.0 * np.pi * j / problem.n)).min()
+
+
+@pytest.mark.parametrize("problem, estimate", [
+    (MultichannelProblem((3, 3), 0.44705882352941184, 0.6), 86),
+    (MultichannelProblem((4, 4), 0.39282149346745393, 0.6), 86),
+    (MultichannelProblem((3, 3), 0.4466019417475729, 0.6), 104),
+    (SingleChannelProblem(2, 0.7777777777777778, 1e-3), 3),
+], ids=["3x3-down", "4x4-down", "3x3-down-104", "n2-up"])
+def test_onset_is_the_first_round_of_the_float_test(problem, estimate):
+    # near a tie the closed-form estimate reads one round off the float
+    # test, and the onset moves it: down in the first three cases, up in the last
+    lam = float(most_negative_desync_eigenvalue(problem))
+    assert math.floor(2.0 / (-1.0 - 3.0 * lam)) + 1 == estimate
+    first = next(k for k in range(1, 10 * estimate)
+                 if lam * (1.0 + 2.0 * (k - 1) / (k + 2)) < -1.0)
+    assert first != estimate
+    assert momentum_onset(problem) == first
 
 
 def iterate(state, round_op, objective, epsilon, cap):
