@@ -54,9 +54,12 @@ for name in sweep much-workers sim-workers; do
     desynclab sweep --config "$name.yaml" --workers 2 --out "workers-2/$name"
     cmp "workers-1/$name/sweep.csv" "workers-2/$name/sweep.csv"
 done
-# a command accepts only the overrides it reads: the others exit 2 (usage)
-rc=0; desynclab spectra --config much.yaml --trials 4 || rc=$?; test "$rc" -eq 2
-rc=0; desynclab simulate --config sim.yaml --workers 2 || rc=$?; test "$rc" -eq 2
+# a command accepts only the overrides it reads: the others exit 2 with
+# that command's usage
+rc=0; desynclab spectra --config much.yaml --trials 4 2> unread.err || rc=$?; test "$rc" -eq 2
+grep -q '^usage: desynclab spectra ' unread.err
+rc=0; desynclab simulate --config sim.yaml --workers 2 2> unread.err || rc=$?; test "$rc" -eq 2
+grep -q '^usage: desynclab simulate ' unread.err
 # the shipped configs whose runs exit 0, writing under shipped/ rather than
 # the configs' own results/ paths. A batch-mode sweep of them exits 4 (some
 # trials fail at the default grids), so only the event-sim config is swept.

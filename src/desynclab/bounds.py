@@ -50,8 +50,6 @@ def desync_round_bound(
     term, which only loosens the bound.
     """
     alpha, eps, n = problem.alpha, problem.epsilon, problem.n
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha out of (0,1): {alpha}")
     if g0 is not None and eps >= g0:
         return 0.0
     accuracy_term = 1.0 / eps - (1.0 / g0 if g0 is not None else 0.0)

@@ -32,6 +32,7 @@ from .experiments import (
     write_sweep_csv,
     certify_spectra,
 )
+from .problems import alpha_to_beta
 
 # Each spec override's flag, and the config key, type and help it takes.
 _OVERRIDES = {
@@ -94,7 +95,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_spectra(args) -> int:
     spec = _load_spec(args)
-    betas = tuple(a / 2.0 for a in spec.alphas)
+    betas = tuple(map(alpha_to_beta, spec.alphas))
     rows = certify_spectra((spec.nodes_per_channel,), (spec.channels,), betas, spec.gammas)
     csv_path = os.path.join(spec.out_dir, "spectra.csv")
     write_spectra_csv(rows, csv_path)
@@ -141,17 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             _, kind, text = _OVERRIDES[flag]
             p.add_argument(f"--{flag}", type=kind, help=text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
     p = sub.add_parser("plotdata")
     p.add_argument("--summary", required=True, help="summary.json from a sweep")
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(fn=_cmd_plotdata)
+    p.set_defaults(fn=_cmd_plotdata, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:  # reported with the usage of the command that did not read them
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import FAST_GUARANTEE_ALPHA_MAX, desync_round_bound, fast_desync_round_bound
 from .eventsim import SimConfig, SimulationResult, TraceRecord, run_simulation
-from .problems import MultichannelProblem, SingleChannelProblem, SpecError, _as_int
+from .problems import MultichannelProblem, SingleChannelProblem, SpecError, _as_int, alpha_to_beta
 from .rounds import default_max_rounds
 from .spectral import spectral_report
 from .trials import (
@@ -133,10 +133,8 @@ class ExperimentSpec:
             )
         if self.workers < 1:
             raise SpecError(f"workers must be >= 1, got {self.workers}")
-        if not 0.0 <= self.loss_probability < 1.0:
-            raise SpecError(f"loss_probability out of [0,1): {self.loss_probability}")
         if self.max_rounds is not None and self.max_rounds < 1:
-            raise SpecError("max_rounds must be >= 1")
+            raise SpecError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if mode == "event-sim":
             # SimConfig alone checks n, channels and the staleness mode's
             # rules, on every point the sweep runs
@@ -306,7 +304,7 @@ def _single_channel_point(args) -> list[SweepRow]:
 def _multichannel_point(args) -> list[SweepRow]:
     spec, phi0, alpha, gamma, epsilon = args
     C, n = spec.channels, spec.nodes_per_channel
-    beta = alpha / 2.0
+    beta = alpha_to_beta(alpha)
     cap = spec.max_rounds or default_max_rounds(C * n, alpha, epsilon)
     plain = run_sync_desync_batch(phi0, beta, gamma, epsilon, cap, fast=False)
     fast = run_sync_desync_batch(phi0, beta, gamma, epsilon, cap, fast=True)

@@ -102,7 +102,7 @@ def desync_map(
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One synchronous Desync round along the last axis,
+    """One synchronous Desync round along the last axis (n >= 2 nodes),
     (1-alpha) phi + (alpha/2) (roll(phi, 1) + roll(phi, -1) - d): midpoint
     pull toward both phase neighbours, with the wrap-around +-1 corrections
     carried by the ring's wrap bias d = (1, 0, ..., 0, -1), which is fixed.
@@ -116,9 +116,7 @@ def desync_map(
     own. Every addition is the roll form's, in the same order, so results
     are bit-identical to it and do not depend on whether buffers are
     passed. d is zero except at its ends, so only its end columns are
-    subtracted (x - 0.0 is x); at n = 1 the one column is both ends and d
-    is (-1,)."""
-    n = phi.shape[-1]
+    subtracted (x - 0.0 is x)."""
     if out is None:
         out = np.empty(phi.shape)
     if work is None or not work.flags.c_contiguous:
@@ -126,10 +124,9 @@ def desync_map(
     flat, first, last = phi.reshape(-1), work[..., 0], work[..., -1]
     # roll(phi, 1) + roll(phi, -1), right but for the end columns
     np.add(flat[:-2], flat[2:], out=work.reshape(-1)[1:-1])
-    np.add(phi[..., -1], phi[..., 1 % n], out=first)
-    np.add(phi[..., (n - 2) % n], phi[..., 0], out=last)
-    if n > 1:
-        np.subtract(first, 1.0, out=first)
+    np.add(phi[..., -1], phi[..., 1], out=first)
+    np.add(phi[..., -2], phi[..., 0], out=last)
+    np.subtract(first, 1.0, out=first)
     np.subtract(last, -1.0, out=last)
     np.multiply(work, alpha / 2.0, out=work)
     np.multiply(phi, 1.0 - alpha, out=out)

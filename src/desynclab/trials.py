@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import batch_multichannel_objective, gap_terms
-from .problems import MultichannelProblem, SingleChannelProblem, beta_to_alpha
+from .problems import MultichannelProblem, SingleChannelProblem
 from .rounds import desync_map, diverging, momentum_step, sync_map
 from .spectral import momentum_onset
 
@@ -220,22 +220,22 @@ _SLOTS = 2 * _ROUND_BLOCK + 2  # two blocks of states, then work and mu
 
 def _run_batch(
     phi0: np.ndarray,
-    alpha: float,
-    gamma: float | None,
+    problem: SingleChannelProblem | MultichannelProblem,
     epsilon: float,
     max_rounds: int,
     fast: bool,
 ) -> TrialBatchResult:
-    """The one batch convergence loop over a (trials, n) array, or a
-    (trials, C, n) array when gamma is given; every round is the Desync map
-    on the last axis, then (multichannel) the consensus row at index 0.
+    """The one batch convergence loop of `problem` over a (trials, n) array,
+    or a (trials, C, n) array for a MultichannelProblem; every round is the
+    Desync map on the last axis with the problem's alpha, then
+    (multichannel) the consensus row at index 0 with its gamma.
 
     The accelerated Desync rows read the momentum vector mu; Sync coordinates
     never carry momentum, so mu[..., 0] == phi[..., 0] throughout. A trial is
     aborted by `rounds.diverging`, the round engine's rule: a non-finite
-    objective, or, for momentum runs from the closed-form onset round on, an
-    objective grown GROWTH-fold past the trial's start. One still unfinished
-    after max_rounds is capped.
+    objective, or, for momentum runs from the problem's closed-form onset
+    round on, an objective grown GROWTH-fold past the trial's start. One
+    still unfinished after max_rounds is capped.
 
     Only live trials (`live`) are stepped, _ROUND_BLOCK rounds at a time,
     each round into its own slot. The objective, the stop test and the
@@ -246,14 +246,13 @@ def _run_batch(
     allocation: one ring of slots gives the same bits, but makes glibc trim
     and regrow the heap after most batches. All runs under np.errstate.
     """
-    objective = batch_gap_objective if gamma is None else batch_multichannel_objective
-    m, n = phi0.shape[0], phi0.shape[-1]
-    onset = None
-    if fast:
-        onset = momentum_onset(
-            SingleChannelProblem(n, alpha, epsilon) if gamma is None
-            else MultichannelProblem.uniform(phi0.shape[1], n, alpha / 2.0, gamma)
-        )
+    alpha = problem.alpha
+    if isinstance(problem, MultichannelProblem):
+        gamma, objective = problem.gamma, batch_multichannel_objective
+    else:
+        gamma, objective = None, batch_gap_objective
+    onset = momentum_onset(problem) if fast else None
+    m = phi0.shape[0]
     rounds = np.full(m, max_rounds, dtype=np.int64)
     aborted = np.zeros(m, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -310,13 +309,15 @@ def _run_batch(
 def run_desync_batch(
     phi0: np.ndarray, alpha: float, epsilon: float, max_rounds: int
 ) -> TrialBatchResult:
-    return _run_batch(phi0, alpha, None, epsilon, max_rounds, fast=False)
+    problem = SingleChannelProblem(phi0.shape[-1], alpha, epsilon)
+    return _run_batch(phi0, problem, epsilon, max_rounds, fast=False)
 
 
 def run_fast_desync_batch(
     phi0: np.ndarray, alpha: float, epsilon: float, max_rounds: int
 ) -> TrialBatchResult:
-    return _run_batch(phi0, alpha, None, epsilon, max_rounds, fast=True)
+    problem = SingleChannelProblem(phi0.shape[-1], alpha, epsilon)
+    return _run_batch(phi0, problem, epsilon, max_rounds, fast=True)
 
 
 def run_sync_desync_batch(
@@ -329,4 +330,5 @@ def run_sync_desync_batch(
 ) -> TrialBatchResult:
     """Joint multichannel batch on a (trials, C, n) array, optionally with
     in-channel acceleration (Sync coordinates never carry momentum)."""
-    return _run_batch(phi0, beta_to_alpha(beta), gamma, epsilon, max_rounds, fast)
+    problem = MultichannelProblem.uniform(*phi0.shape[1:], beta, gamma)
+    return _run_batch(phi0, problem, epsilon, max_rounds, fast)

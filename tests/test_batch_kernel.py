@@ -170,7 +170,7 @@ def test_multichannel_batch_tie_falls_back_to_sampler(tie_at_seed):
     assert np.all(np.diff(batch, axis=-1) > 0.0)
 
 
-@pytest.mark.parametrize("shape", [(7, 16), (5, 3, 4), (6,), (4, 1), (3, 2), (1, 1)])
+@pytest.mark.parametrize("shape", [(7, 16), (5, 3, 4), (6,), (4, 3), (3, 2)])
 def test_buffered_desync_map_equals_roll_form(shape):
     phi = REAL_DEFAULT_RNG(3).random(shape) * 5.0
     alpha, d = 0.37, wrap_bias(shape[-1])

@@ -6,6 +6,8 @@ A batch trial is aborted where the engine raises FloatingPointError, capped
 and converged after the same number of rounds as the engine.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from desynclab import (
     MultichannelState,
     NesterovState,
     SingleChannelProblem,
+    SpecError,
     run_until_convergence,
 )
 from desynclab.rounds import default_max_rounds
@@ -91,6 +94,34 @@ def test_batch_outcomes_match_round_engine_per_trial(name):
     cap = args[-1]
     for kind, rounds in batch:
         assert (rounds == cap) if kind != "converged" else (rounds < cap)
+
+
+SINGLE = (run_desync_batch, run_fast_desync_batch)
+MULTI = (partial(run_sync_desync_batch, fast=False), partial(run_sync_desync_batch, fast=True))
+
+
+@pytest.mark.parametrize("runners, shape, params, message", [
+    (SINGLE, (4,), (0.0, 1e-3), "alpha out of (0,1): 0.0"),
+    (SINGLE, (4,), (1.0, 1e-3), "alpha out of (0,1): 1.0"),
+    (SINGLE, (4,), (1.5, 1e-3), "alpha out of (0,1): 1.5"),
+    (SINGLE, (4,), (0.5, 0.0), "epsilon must be > 0, got 0.0"),
+    (SINGLE, (4,), (0.5, -1.0), "epsilon must be > 0, got -1.0"),
+    (SINGLE, (1,), (0.5, 1e-3), "n must be >= 2, got 1"),
+    (MULTI, (3, 4), (0.5, 0.6, 1e-3), "beta out of (0, 1/2): 0.5"),
+    (MULTI, (3, 4), (0.6, 0.6, 1e-3), "beta out of (0, 1/2): 0.6"),
+    (MULTI, (3, 4), (0.2, 0.0, 1e-3), "gamma out of (0, 1): 0.0"),
+    (MULTI, (3, 4), (0.2, 1.5, 1e-3), "gamma out of (0, 1): 1.5"),
+    (MULTI, (1, 4), (0.2, 0.6, 1e-3), "need at least 2 channels, got 1"),
+    (MULTI, (3, 1), (0.2, 0.6, 1e-3), "every channel needs >= 2 nodes, got (1, 1, 1)"),
+], ids=["alpha-0", "alpha-1", "alpha-1.5", "epsilon-0", "epsilon-negative", "n-1",
+        "beta-0.5", "beta-0.6", "gamma-0", "gamma-1.5", "channels-1", "nodes-1"])
+def test_plain_and_accelerated_batches_accept_the_same_inputs(runners, shape, params, message):
+    # both runners build the same problem, whose class states every range
+    phi0 = np.zeros((TRIALS, *shape))
+    for runner in runners:
+        with pytest.raises(SpecError) as exc:
+            runner(phi0, *params, 50)
+        assert str(exc.value) == message
 
 
 def mixed_state(C=3, n=4):

@@ -113,14 +113,3 @@ def test_fast_bound_warns_outside_guarantee_range():
     with pytest.warns(RuntimeWarning):
         value = fast_desync_round_bound(p)
     assert value > 0.0
-
-
-def test_alpha_range_error():
-    p = SingleChannelProblem(8, 0.5, 1e-4)
-    bad = object.__new__(SingleChannelProblem)
-    object.__setattr__(bad, "n", 8)
-    object.__setattr__(bad, "alpha", 1.5)
-    object.__setattr__(bad, "epsilon", 1e-4)
-    with pytest.raises(ValueError):
-        desync_round_bound(bad)
-    assert desync_round_bound(p) > 0

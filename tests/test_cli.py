@@ -151,7 +151,9 @@ def test_each_command_takes_only_the_overrides_it_reads(tmp_path, capsys, comman
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", cfg, flag, "2"])
         assert exc.value.code == EXIT_VALIDATION
-        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: desynclab {command} ")
+        assert f"unrecognized arguments: {flag} 2" in err
 
 
 def test_bounds_command(tmp_path):

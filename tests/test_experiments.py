@@ -223,7 +223,7 @@ def test_parse_accepts_every_key_its_mode_reads():
      r"^loss_probability out of \[0,1\): 1\.0$"),
     (parse_spec, "mode: event-sim\nn: 4\nloss_probability: -0.1\n",
      r"^loss_probability out of \[0,1\): -0\.1$"),
-    (parse_spec, MINIMAL + "max_rounds: 0\n", "^max_rounds must be >= 1$"),
+    (parse_spec, MINIMAL + "max_rounds: 0\n", "^max_rounds must be >= 1, got 0$"),
     (lambda text: compare_bounds(parse_spec(text)), BASE_CONFIGS["much"],
      "^bound comparison needs a single-channel mode$"),
     (parse_spec, "mode: event-sim\nn: 8\nchannels: 2\nstaleness_mode: assumption1\n",
