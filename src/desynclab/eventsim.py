@@ -53,8 +53,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .objectives import channel_objective
-from .problems import _as_int
-from .rounds import ConvergenceReport, momentum_coefficient
+from .problems import _as_int, check_run
+from .rounds import ConvergenceReport, Stop, momentum_coefficient
 
 
 # steady-state detection: offsets moving less than SimConfig.steady_tol per
@@ -137,8 +137,7 @@ class SimConfig:
             raise ValueError(f"gamma out of (0,1): {self.gamma}")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError(f"loss_probability out of [0,1): {self.loss_probability}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        check_run(self.epsilon, self.max_rounds)
         if not self.guard_time >= 0.0:
             raise ValueError(f"guard_time must be >= 0, got {self.guard_time}")
         for name in ("period", "guard_time"):  # the checks above let inf through
@@ -146,8 +145,6 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.steady_tol >= 0.0:
             raise ValueError(f"steady_tol must be >= 0, got {self.steady_tol}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.staleness_mode not in ("live", "assumption1"):
             raise ValueError(f"unknown staleness_mode: {self.staleness_mode!r}")
         if self.adjacency is not None:
@@ -243,6 +240,7 @@ class SimulationResult:
     trace: list
     occupancy: list
     order_change_rounds: int
+    stop: Stop
     steady_round: Optional[int] = None  # first round of a settled firing pattern
 
 
@@ -726,17 +724,13 @@ class Simulation:
             max_rounds = max(1000, 200 * cfg.n)
         self._keep_rounds = True
         rec0 = self._record(0, np.array([nd.phi for nd in self.nodes]))
-        obj0 = rec0.objective
-        converged = rec0.converged
-        rounds = 0
-        final = obj0
-        steady_round = None
-        steady_run = 0
-        prev_offsets = None
+        obj0 = final = rec0.objective
+        stop = Stop.CONVERGED if rec0.converged else None
+        steady_run, prev_offsets = 0, None
         step, buffered, n = self.step, self._rounds, cfg.n
         # the fires of the next round to record, filled in place by step()
         pending = buffered[self.completed_rounds + 1]
-        while not converged and steady_round is None and self.completed_rounds < max_rounds:
+        while stop is None and self.completed_rounds < max_rounds:
             step()
             if len(pending) == n:
                 rec = self._finish_round()
@@ -744,27 +738,27 @@ class Simulation:
                 final = rec.objective
                 if not np.isfinite(final):
                     raise FloatingPointError("non-finite objective in simulation")
-                if rec.converged:
-                    converged = True
-                    rounds = rec.round_index
                 if prev_offsets is not None:
                     drift = np.max(np.abs(_circdiff(rec.offsets_by_node - prev_offsets)))
                     steady_run = steady_run + 1 if drift < cfg.steady_tol else 0
-                    if steady_run >= STEADY_ROUNDS:
-                        steady_round = rec.round_index
                 prev_offsets = rec.offsets_by_node
+                if rec.converged:
+                    stop = Stop.CONVERGED
+                elif steady_run >= STEADY_ROUNDS:
+                    stop = Stop.STEADY
             elif len(buffered) > n:
                 # a node is more than n fires ahead of the completed rounds: a
                 # Zeno exchange that would never complete another round
-                break
-        if not converged:
-            rounds = self.completed_rounds
+                stop = Stop.ZENO
+        stop = Stop.CAPPED if stop is None else stop
+        # a round that converges or settles is the last one completed
+        rounds = 0 if rec0.converged else self.completed_rounds
         self._keep_rounds = False
         report = ConvergenceReport(
             rounds=rounds,
             final_objective=final,
             trace=np.array([t.objective for t in self.trace if t.round_index > 0]),
-            converged=converged,
+            converged=stop == Stop.CONVERGED,
             initial_objective=obj0,
         )
         return SimulationResult(
@@ -772,7 +766,8 @@ class Simulation:
             trace=self.trace,
             occupancy=self.occupancy(),
             order_change_rounds=sum(rec.order_changed for rec in self.trace),
-            steady_round=steady_round if not converged else rounds,
+            stop=stop,
+            steady_round=rounds if stop in (Stop.CONVERGED, Stop.STEADY) else None,
         )
 
     # ---------------- steady-state channel swap ----------------

@@ -21,7 +21,8 @@ import numpy as np
 
 from .bounds import FAST_GUARANTEE_ALPHA_MAX, desync_round_bound, fast_desync_round_bound
 from .eventsim import SimConfig, SimulationResult, TraceRecord, run_simulation
-from .problems import MultichannelProblem, SingleChannelProblem, SpecError, _as_int, alpha_to_beta
+from .problems import (MultichannelProblem, SingleChannelProblem, SpecError, _as_int,
+                       alpha_to_beta, check_run)
 from .rounds import default_max_rounds
 from .spectral import spectral_report
 from .trials import (
@@ -114,8 +115,7 @@ class ExperimentSpec:
                 if not 0.0 < v < 1.0:
                     raise SpecError(f"{key} out of (0,1): {v}")
         for e in self.epsilons:
-            if not e > 0.0:
-                raise SpecError(f"epsilon must be > 0: {e}")
+            check_run(e, self.max_rounds)
         n, channels, npc = self.n, self.channels, self.nodes_per_channel
         if mode in _SINGLE:
             if n is None or n < 2:
@@ -133,8 +133,6 @@ class ExperimentSpec:
             )
         if self.workers < 1:
             raise SpecError(f"workers must be >= 1, got {self.workers}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise SpecError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if mode == "event-sim":
             # SimConfig alone checks n, channels and the staleness mode's
             # rules, on every point the sweep runs
@@ -333,15 +331,10 @@ def _sim_config(spec: ExperimentSpec, alpha: float, gamma: float, epsilon: float
 
 def _eventsim_point(args) -> list[SweepRow]:
     spec, alpha, gamma, epsilon = args
-    reports = [
-        run_simulation(_sim_config(spec, alpha, gamma, epsilon, spec.seed_base + t)).report
-        for t in range(spec.trials)
-    ]
-    result = TrialBatchResult(
-        rounds=np.array([rep.rounds for rep in reports], dtype=np.int64),
-        converged=np.array([rep.converged for rep in reports]),
-        aborted=np.zeros(len(reports), dtype=bool),
-    )
+    runs = [run_simulation(_sim_config(spec, alpha, gamma, epsilon, spec.seed_base + t))
+            for t in range(spec.trials)]
+    result = TrialBatchResult(np.array([res.report.rounds for res in runs], dtype=np.int64),
+                              np.array([res.stop for res in runs], dtype=np.int8))
     return [
         _row("event-sim", result, n=spec.n, channels=spec.channels, alpha=alpha,
              gamma=gamma, epsilon=epsilon, bound_desync=float("nan"),

@@ -38,6 +38,14 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
+def check_run(epsilon: float, max_rounds: int | None = None) -> None:
+    """What may bound a run in any loop: epsilon > 0 (NaN fails), a cap >= 1."""
+    if not epsilon > 0.0:
+        raise SpecError(f"epsilon must be > 0, got {epsilon}")
+    if max_rounds is not None and max_rounds < 1:
+        raise SpecError(f"max_rounds must be >= 1, got {max_rounds}")
+
+
 def as_phase_vector(values, n: int | None = None) -> np.ndarray:
     """Validate a phase-offset vector: 1-D, length >= 2, all finite.
 
@@ -70,8 +78,7 @@ class SingleChannelProblem:
             raise SpecError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.alpha < 1.0:
             raise SpecError(f"alpha out of (0,1): {self.alpha}")
-        if not self.epsilon > 0.0:
-            raise SpecError(f"epsilon must be > 0, got {self.epsilon}")
+        check_run(self.epsilon)
 
     @property
     def beta(self) -> float:

@@ -8,6 +8,7 @@ into [0,1) happens only at the event-simulator boundary.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,6 +22,7 @@ from .problems import (
     SingleChannelProblem,
     as_channel_vectors,
     as_phase_vector,
+    check_run,
 )
 from .spectral import momentum_onset
 
@@ -34,6 +36,17 @@ an unstable run that converge never rise above their start value, and
 Nesterov's (k-1)/(k+2) momentum keeps stable modes free of large transient
 growth (Su, Boyd and Candes, JMLR 2016), so six orders of magnitude sit far
 above any transient and far below overflow."""
+
+
+class Stop(enum.IntEnum):
+    """How a run ended, in all three loops (the engine raises where a batch
+    trial is DIVERGED). Write a member by .name or int(): str() varies by Python."""
+
+    CONVERGED = 0  # objective at or below epsilon
+    CAPPED = 1     # max_rounds completed first
+    DIVERGED = 2   # aborted by `diverging`
+    STEADY = 3     # simulator: offsets settled above epsilon (eventsim.STEADY_ROUNDS)
+    ZENO = 4       # simulator: a Zeno exchange that would complete no further round
 
 
 @dataclass(frozen=True)
@@ -288,8 +301,7 @@ def run_until_convergence(
     if max_rounds is None:
         nodes = problem.total_nodes if multichannel else problem.n
         max_rounds = default_max_rounds(nodes, problem.alpha, epsilon)
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    check_run(epsilon, max_rounds)
     default_op, momentum = _variant(state)
     round_op = round_op or default_op
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import batch_multichannel_objective, gap_terms
-from .problems import MultichannelProblem, SingleChannelProblem
-from .rounds import desync_map, diverging, momentum_step, sync_map
+from .problems import MultichannelProblem, SingleChannelProblem, check_run
+from .rounds import Stop, desync_map, diverging, momentum_step, sync_map
 from .spectral import momentum_onset
 
 TIE_JITTER = 1e-12
@@ -205,13 +205,20 @@ batch_gap_objective = gap_terms
 
 @dataclass
 class TrialBatchResult:
-    rounds: np.ndarray      # per-trial rounds to convergence (= max_rounds if not converged)
-    converged: np.ndarray   # per-trial flag
-    aborted: np.ndarray     # per-trial flag: diverged by rounds.diverging
+    rounds: np.ndarray  # per-trial rounds to convergence (= max_rounds if not converged)
+    stop: np.ndarray    # per-trial rounds.Stop code, int8
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.stop == int(Stop.CONVERGED)
+
+    @property
+    def aborted(self) -> np.ndarray:
+        return self.stop == int(Stop.DIVERGED)
 
     @property
     def ok(self) -> bool:
-        return bool(self.converged.all()) and not bool(self.aborted.any())
+        return bool(self.converged.all())
 
 
 _ROUND_BLOCK = 8  # rounds per objective call, stop test and compaction
@@ -231,11 +238,11 @@ def _run_batch(
     (multichannel) the consensus row at index 0 with its gamma.
 
     The accelerated Desync rows read the momentum vector mu; Sync coordinates
-    never carry momentum, so mu[..., 0] == phi[..., 0] throughout. A trial is
-    aborted by `rounds.diverging`, the round engine's rule: a non-finite
-    objective, or, for momentum runs from the problem's closed-form onset
-    round on, an objective grown GROWTH-fold past the trial's start. One
-    still unfinished after max_rounds is capped.
+    never carry momentum, so mu[..., 0] == phi[..., 0] throughout. A trial
+    stops DIVERGED by `rounds.diverging`, the round engine's rule: a
+    non-finite objective, or, for momentum runs from the problem's
+    closed-form onset round on, an objective grown GROWTH-fold past the
+    trial's start. One still unfinished after max_rounds is CAPPED.
 
     Only live trials (`live`) are stepped, _ROUND_BLOCK rounds at a time,
     each round into its own slot. The objective, the stop test and the
@@ -246,6 +253,7 @@ def _run_batch(
     allocation: one ring of slots gives the same bits, but makes glibc trim
     and regrow the heap after most batches. All runs under np.errstate.
     """
+    check_run(epsilon, max_rounds)
     alpha = problem.alpha
     if isinstance(problem, MultichannelProblem):
         gamma, objective = problem.gamma, batch_multichannel_objective
@@ -254,11 +262,11 @@ def _run_batch(
     onset = momentum_onset(problem) if fast else None
     m = phi0.shape[0]
     rounds = np.full(m, max_rounds, dtype=np.int64)
-    aborted = np.zeros(m, dtype=bool)
+    stop = np.full(m, int(Stop.CAPPED), dtype=np.int8)  # int(): numpy is slow on an IntEnum
     with np.errstate(over="ignore", invalid="ignore"):
         start = objective(phi0)
         converged = start <= epsilon
-        rounds[converged] = 0
+        rounds[converged], stop[converged] = 0, int(Stop.CONVERGED)
         live = np.flatnonzero(~converged)
         start = start[live]
         phi = mu = phi0[live]
@@ -287,23 +295,23 @@ def _run_batch(
                 if not fast:
                     mu = phi
             v = objective(block)
-            stop = diverging(v, start, np.arange(k0, k + 1)[:, None], onset)
-            stop |= v <= epsilon
-            keep = ~stop.any(axis=0)
+            ends = diverging(v, start, np.arange(k0, k + 1)[:, None], onset)
+            ends |= v <= epsilon
+            keep = ~ends.any(axis=0)
             kept = np.count_nonzero(keep)
             if kept < live.size:
                 gone = np.flatnonzero(~keep)
-                at = stop[:, gone].argmax(axis=0)
+                at = ends[:, gone].argmax(axis=0)
                 newly = v[at, gone] <= epsilon
                 done = live[gone]
                 rounds[done[newly]] = k0 + at[newly]
-                converged[done[newly]] = True
-                aborted[done[~newly]] = True
+                stop[done[newly]] = int(Stop.CONVERGED)
+                stop[done[~newly]] = int(Stop.DIVERGED)
                 live, start = live.compress(keep), start.compress(keep)
                 phi = phi.compress(keep, axis=0)
                 mu = mu.compress(keep, axis=0) if fast else phi
                 sync_work, slots = sync_work[:kept], None
-    return TrialBatchResult(rounds=rounds, converged=converged, aborted=aborted)
+    return TrialBatchResult(rounds=rounds, stop=stop)
 
 
 def run_desync_batch(

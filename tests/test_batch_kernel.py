@@ -21,7 +21,7 @@ from desynclab import experiments as ex
 from desynclab import rounds as rounds_module
 from desynclab import trials as trials_module
 from desynclab.objectives import gap_residual
-from desynclab.rounds import desync_map, sync_map
+from desynclab.rounds import Stop, desync_map, sync_map
 from desynclab.spectral import momentum_onset
 from desynclab.trials import (
     _ROUND_BLOCK,
@@ -278,7 +278,7 @@ def test_mixed_batch_matches_round_engine_per_trial(name):
     with np.errstate(over="ignore", invalid="ignore"):
         batch, engine = run(*args, fast=True)
     assert batch == engine
-    assert {kind for kind, _ in batch} == {"converged", "aborted", "capped"}
+    assert {kind for kind, _ in batch} == {Stop.CONVERGED, Stop.DIVERGED, Stop.CAPPED}
 
 
 @pytest.mark.parametrize("shape", [(8, 7, 16), (3, 5, 4), (1, 6, 9), (8, 4, 1), (2, 1, 1)])
@@ -324,7 +324,7 @@ def test_momentum_onset_inside_a_block_matches_round_engine():
             batch, engine = single_channel(16, 0.8, 1e-3, cap, fast=True)
         assert batch == engine
         kinds[cap] = {kind for kind, _ in batch}
-    assert {"aborted", "capped"} <= kinds[32] and "capped" not in kinds[33]
+    assert {Stop.DIVERGED, Stop.CAPPED} <= kinds[32] and Stop.CAPPED not in kinds[33]
 
 
 def test_growth_abort_starts_at_the_onset_round_inside_a_block(monkeypatch):
@@ -337,7 +337,7 @@ def test_growth_abort_starts_at_the_onset_round_inside_a_block(monkeypatch):
         batch, engine = single_channel(16, 0.8, 1e-3, cap, fast=True)
         assert batch == engine
         kinds[cap] = {kind for kind, _ in batch}
-    assert kinds == {onset - 1: {"capped"}, onset: {"aborted"}}
+    assert kinds == {onset - 1: {Stop.CAPPED}, onset: {Stop.DIVERGED}}
 
 
 @pytest.mark.parametrize("fast", [False, True])
@@ -348,7 +348,7 @@ def test_trials_ending_on_a_blocks_first_and_last_round_match_round_engine(fast)
     runner = run_fast_desync_batch if fast else run_desync_batch
     engine = [engine_outcome(start(p), problem, epsilon, cap) for p in phi0]
     assert batch_outcomes(runner(phi0, 0.3, epsilon, cap)) == engine
-    ends = {rounds % _ROUND_BLOCK for kind, rounds in engine if kind == "converged"}
+    ends = {rounds % _ROUND_BLOCK for kind, rounds in engine if kind == Stop.CONVERGED}
     assert {0, 1} <= ends
 
 

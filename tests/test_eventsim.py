@@ -24,7 +24,7 @@ from desynclab import (
     run_simulation,
 )
 from desynclab.eventsim import desync_midpoint, momentum_shift, sync_pull
-from desynclab.rounds import momentum_coefficient
+from desynclab.rounds import Stop, momentum_coefficient
 from desynclab.spectral import desync_block_eigenvalues
 
 
@@ -709,9 +709,24 @@ def test_run_stops_a_zeno_exchange_in_process():
     sim = Budget(SimConfig(n=3, channels=1, alpha=0.7, use_nesterov=True, rng_seed=0,
                            epsilon=1e-12, max_rounds=3000))
     res = sim.run()
+    assert res.stop is Stop.ZENO
     assert not res.report.converged and res.steady_round is None
     assert res.report.rounds == sim.completed_rounds == 57
     assert len(sim._rounds) > sim.config.n
+
+
+@pytest.mark.parametrize("stop, kw, rounds, steady_round", [
+    (Stop.CONVERGED, dict(epsilon=1e-3, rng_seed=7, max_rounds=12), 11, 11),
+    (Stop.CAPPED, dict(epsilon=1e-3, rng_seed=8, max_rounds=12), 12, None),
+    (Stop.STEADY, dict(epsilon=1e-12, steady_tol=1.0, rng_seed=7, max_rounds=50), 4, 4),
+], ids=["converged", "capped", "steady"])
+def test_run_reports_how_it_stopped(stop, kw, rounds, steady_round):
+    # ZENO is reached in test_run_stops_a_zeno_exchange_in_process
+    res = Simulation(SimConfig(n=6, channels=2, alpha=0.5, **kw)).run()
+    assert res.stop is stop
+    assert res.report.converged == (stop is Stop.CONVERGED)
+    assert res.report.rounds == res.trace[-1].round_index == rounds
+    assert res.steady_round == steady_round
 
 
 def test_run_records_rounds_stepped_before_it():

@@ -212,7 +212,7 @@ def test_parse_accepts_every_key_its_mode_reads():
 @pytest.mark.parametrize("call, text, match", [
     (parse_spec, "mode: [desync\n", "^malformed config: "),
     (parse_spec, "- mode\n- desync\n", "^config must be a mapping$"),
-    (parse_spec, "mode: desync\nn: 4\nepsilon: [1.0e-3, 0]\n", r"^epsilon must be > 0: 0\.0$"),
+    (parse_spec, "mode: desync\nn: 4\nepsilon: [1.0e-3, 0]\n", r"^epsilon must be > 0, got 0\.0$"),
     (parse_spec, "mode: much\nchannels: 1\nnodes_per_channel: 3\n",
      "^need channels >= 2 and nodes_per_channel >= 2$"),
     (parse_spec, "mode: fast-much\nchannels: 3\nnodes_per_channel: 1\n",

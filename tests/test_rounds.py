@@ -7,6 +7,7 @@ from desynclab import (
     MultichannelState,
     NesterovState,
     SingleChannelProblem,
+    SpecError,
     build_iteration_matrix,
     desync_objective,
     desync_round,
@@ -265,12 +266,21 @@ def test_run_until_convergence_aborts_on_nonfinite():
     (lambda p: run_until_convergence(DesyncState(np.array([0.0, 0.5, 0.6, 0.7])), p,
                                      max_rounds=0),
      ValueError, "^max_rounds must be >= 1, got 0$"),
+    # the run's epsilon passes problems.check_run, whatever the problem carries
+    (lambda p: run_until_convergence(DesyncState(np.array([0.0, 0.5, 0.6, 0.7])), p,
+                                     epsilon=-1.0, max_rounds=50),
+     SpecError, r"^epsilon must be > 0, got -1\.0$"),
+    (lambda p: run_until_convergence(
+        MultichannelState.initial([np.linspace(0.0, 0.5, 4)] * 3),
+        MultichannelProblem.uniform(3, 4, 0.2, 0.6), epsilon=-1.0, max_rounds=50),
+     SpecError, r"^epsilon must be > 0, got -1\.0$"),
     # finite offsets whose gaps square past the float range
     (lambda p: run_until_convergence(DesyncState(np.array([0.0, 1e200, 2e200, 3e200])), p),
      FloatingPointError, "^non-finite objective on the initial state$"),
     (lambda p: run_until_convergence(np.array([0.0, 0.5, 0.6, 0.7]), p),
      TypeError, "^no round operation known for state type <class 'numpy.ndarray'>$"),
-], ids=["negative-k", "max-rounds-0", "nonfinite-start", "unknown-state-type"])
+], ids=["negative-k", "max-rounds-0", "epsilon-negative", "much-epsilon-negative",
+        "nonfinite-start", "unknown-state-type"])
 def test_round_engine_validation_messages(call, error, match):
     p = SingleChannelProblem(4, 0.5, 1e-3)
     with np.errstate(over="ignore"), pytest.raises(error, match=match):
