@@ -40,7 +40,13 @@ staleness_mode:
 
 Reception is stateless: a listener hears a fire unless the pair is hidden
 (non-adjacent pairs never deliver) or a per-receiver Bernoulli draw loses
-it. Guard times are bookkeeping only; they never touch the phase math.
+it, one draw per adjacent listener in member order. Guard times are
+bookkeeping only; they never touch the phase math.
+
+Cost: a fire on a lossless, fully connected channel is O(log n), one heap
+call in the typical case (see Simulation._requeue); loss or hidden pairs
+add one message_delivered call per listener. A round's record is O(n log n)
+in a fixed number of numpy calls over a cached membership layout.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .objectives import channel_objective
-from .problems import _as_int, check_run
+from .problems import SpecError, _as_int, check_open_unit, check_run
 from .rounds import ConvergenceReport, Stop, momentum_coefficient
 
 
@@ -101,6 +107,9 @@ class SwapError(ValueError):
 
 @dataclass
 class SimConfig:
+    """One simulation's settings, checked on construction: every rule
+    raises SpecError (a ValueError)."""
+
     n: int
     channels: int = 1
     period: float = 0.1
@@ -126,59 +135,57 @@ class SimConfig:
             self.max_rounds = _as_int(self.max_rounds, "max_rounds")
         # every range check below is written so that NaN fails it
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+            raise SpecError(f"n must be >= 1, got {self.n}")
         if self.channels < 1:
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
+            raise SpecError(f"channels must be >= 1, got {self.channels}")
         if not self.period > 0.0:
-            raise ValueError(f"period must be > 0, got {self.period}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha out of (0,1): {self.alpha}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma out of (0,1): {self.gamma}")
+            raise SpecError(f"period must be > 0, got {self.period}")
+        check_open_unit(self.alpha, "alpha")
+        check_open_unit(self.gamma, "gamma")
         if not 0.0 <= self.loss_probability < 1.0:
-            raise ValueError(f"loss_probability out of [0,1): {self.loss_probability}")
+            raise SpecError(f"loss_probability out of [0,1): {self.loss_probability}")
         check_run(self.epsilon, self.max_rounds)
         if not self.guard_time >= 0.0:
-            raise ValueError(f"guard_time must be >= 0, got {self.guard_time}")
+            raise SpecError(f"guard_time must be >= 0, got {self.guard_time}")
         for name in ("period", "guard_time"):  # the checks above let inf through
             if np.isinf(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.steady_tol >= 0.0:
-            raise ValueError(f"steady_tol must be >= 0, got {self.steady_tol}")
+            raise SpecError(f"steady_tol must be >= 0, got {self.steady_tol}")
         if self.staleness_mode not in ("live", "assumption1"):
-            raise ValueError(f"unknown staleness_mode: {self.staleness_mode!r}")
+            raise SpecError(f"unknown staleness_mode: {self.staleness_mode!r}")
         if self.adjacency is not None:
             adj = np.asarray(self.adjacency, dtype=bool)
             if adj.shape != (self.n, self.n):
-                raise ValueError(f"adjacency must be ({self.n},{self.n}), got {adj.shape}")
+                raise SpecError(f"adjacency must be ({self.n},{self.n}), got {adj.shape}")
             self.adjacency = adj
         if self.staleness_mode == "assumption1":
             if self.loss_probability > 0.0 or self.adjacency is not None:
-                raise ValueError(
+                raise SpecError(
                     "assumption1 mode models perfect reception; it requires zero "
                     "loss and full connectivity"
                 )
             if self.use_nesterov:
-                raise ValueError("assumption1 mode covers the plain update only")
+                raise SpecError("assumption1 mode covers the plain update only")
             if self.channels > 1:
-                raise ValueError(
+                raise SpecError(
                     "staleness_mode='assumption1' is exact only on one channel; "
                     f"it requires channels=1, got channels={self.channels}"
                 )
         if self.initial_phases is not None:
             phases = np.asarray(self.initial_phases, dtype=np.float64)
             if phases.shape != (self.n,):
-                raise ValueError(f"initial_phases must have shape ({self.n},)")
+                raise SpecError(f"initial_phases must have shape ({self.n},)")
             if not np.isfinite(phases).all():
-                raise ValueError("initial_phases must be finite")
+                raise SpecError("initial_phases must be finite")
             self.initial_phases = phases
         if self.initial_channels is not None:
             channels = np.asarray(self.initial_channels)
             if not np.array_equal(channels, np.floor(channels)):
-                raise ValueError("initial_channels must be integers")
+                raise SpecError("initial_channels must be integers")
             if (channels.shape != (self.n,) or channels.min() < 0
                     or channels.max() >= self.channels):
-                raise ValueError("initial_channels out of range")
+                raise SpecError("initial_channels out of range")
             self.initial_channels = channels
 
 
@@ -252,6 +259,15 @@ def elect_sync_node(node_ids: Sequence[int]) -> int:
 
 
 class Simulation:
+    """One seeded network, fired event by event. The same SimConfig
+    (rng_seed included) gives a bit-identical trace; simultaneous fires
+    break ties by (channel, node_id).
+
+    Only run() keeps rounds for its trace. Outside it, step() and a bare
+    advance free each round unrecorded once every node has fired in it, so
+    stepping a network keeps no fire times, and a later run() records from
+    the next round on."""
+
     def __init__(self, config: SimConfig):
         self.config = config
         self.rng = np.random.default_rng(config.rng_seed)
@@ -265,13 +281,13 @@ class Simulation:
 
         self.nodes = [NodeState(i, int(channels[i]), float(phases[i])) for i in range(n)]
         self.time = 0.0
+        # Python floats, as are the queue keys: a fire builds no numpy scalar
         self._next_fire = [T * (1.0 - nd.phi) for nd in self.nodes]
         # round k -> {node_id: time of its k-th fire}, for rounds not yet
         # recorded; round k is complete once its entry holds all n nodes
         self._rounds: defaultdict[int, dict[int, float]] = defaultdict(dict)
-        # rounds are kept for run() to record until a run has returned; from
-        # then on step() frees each round once every node has fired in it
-        self._keep_rounds = True
+        # True only inside run(), which records the rounds it completes
+        self._keep_rounds = False
         # the last recorded round's channel-major firing order and occupancy
         self._prev_round_order: tuple[bytes, tuple[int, ...]] | None = None
         self.completed_rounds = 0
@@ -392,7 +408,9 @@ class Simulation:
         over-full channel c jumps to c+1 while n_c - n_{c+1} >= 1 (>= 2 at
         the wrap edge); every channel it touched re-elects once at the end,
         and the queue is rebuilt if a node moved. Terminates with every
-        occupancy in {floor(n/C), ceil(n/C)}."""
+        occupancy in {floor(n/C), ceil(n/C)}. Safe at any time: before the
+        first step it gives the fires of construction with balance=True, and
+        mid-run no fire of a node's old channel triggers its update."""
         if self._balance():
             self._requeue()
 
@@ -457,6 +475,8 @@ class Simulation:
         self._rounds[firer.fire_count][nid] = t
         t_next = self._next_fire[nid] = t + self.config.period
         heapreplace(self._queue, (t_next, ch, nid))
+        if not self._keep_rounds:
+            self._free_round()
         # FireEvent(...) would run the named tuple's Python-level __new__
         return tuple.__new__(FireEvent, (t, nid, ch))
 

@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import FAST_GUARANTEE_ALPHA_MAX, desync_round_bound, fast_desync_round_bound
 from .eventsim import SimConfig, SimulationResult, TraceRecord, run_simulation
 from .problems import (MultichannelProblem, SingleChannelProblem, SpecError, _as_int,
-                       alpha_to_beta, check_run)
+                       alpha_to_beta, check_open_unit, check_run)
 from .rounds import default_max_rounds
 from .spectral import spectral_report
 from .trials import (
@@ -112,8 +112,7 @@ class ExperimentSpec:
 
         for key, grid in (("alpha", self.alphas), ("gamma", self.gammas)):
             for v in grid:
-                if not 0.0 < v < 1.0:
-                    raise SpecError(f"{key} out of (0,1): {v}")
+                check_open_unit(v, key)
         for e in self.epsilons:
             check_run(e, self.max_rounds)
         n, channels, npc = self.n, self.channels, self.nodes_per_channel
@@ -127,6 +126,7 @@ class ExperimentSpec:
                 raise SpecError("need channels >= 2 and nodes_per_channel >= 2")
         if self.trials < 1:
             raise SpecError(f"trials must be >= 1, got {self.trials}")
+        # numpy takes larger seeds; trials._uniform_rows covers the 64-bit ones
         if self.seed_base < 0 or self.seed_base + self.trials > 2**64:
             raise SpecError(
                 f"seed_base must be >= 0 with seed_base + trials <= 2**64, got {self.seed_base}"
@@ -134,13 +134,11 @@ class ExperimentSpec:
         if self.workers < 1:
             raise SpecError(f"workers must be >= 1, got {self.workers}")
         if mode == "event-sim":
-            # SimConfig alone checks n, channels and the staleness mode's
-            # rules, on every point the sweep runs
+            # SimConfig alone checks n, channels, loss_probability and the
+            # staleness mode's rules, on every point the sweep runs; other
+            # modes never read loss_probability
             for a, g, e in product(self.alphas, self.gammas, self.epsilons):
-                try:
-                    _sim_config(self, a, g, e, self.seed_base)
-                except ValueError as exc:
-                    raise SpecError(str(exc)) from exc
+                _sim_config(self, a, g, e, self.seed_base)
 
 
 def _as_grid(value, name: str) -> tuple[float, ...]:

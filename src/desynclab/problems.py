@@ -46,6 +46,12 @@ def check_run(epsilon: float, max_rounds: int | None = None) -> None:
         raise SpecError(f"max_rounds must be >= 1, got {max_rounds}")
 
 
+def check_open_unit(value: float, name: str) -> None:
+    """The range (0, 1) of alpha and gamma wherever they are given (NaN fails)."""
+    if not 0.0 < value < 1.0:
+        raise SpecError(f"{name} out of (0,1): {value}")
+
+
 def as_phase_vector(values, n: int | None = None) -> np.ndarray:
     """Validate a phase-offset vector: 1-D, length >= 2, all finite.
 
@@ -76,8 +82,7 @@ class SingleChannelProblem:
         object.__setattr__(self, "n", _as_int(self.n, "n"))
         if self.n < 2:
             raise SpecError(f"n must be >= 2, got {self.n}")
-        if not 0.0 < self.alpha < 1.0:
-            raise SpecError(f"alpha out of (0,1): {self.alpha}")
+        check_open_unit(self.alpha, "alpha")
         check_run(self.epsilon)
 
     @property
@@ -106,8 +111,7 @@ class MultichannelProblem:
             raise SpecError(f"every channel needs >= 2 nodes, got {counts}")
         if not 0.0 < self.beta < 0.5:
             raise SpecError(f"beta out of (0, 1/2): {self.beta}")
-        if not 0.0 < self.gamma < 1.0:
-            raise SpecError(f"gamma out of (0, 1): {self.gamma}")
+        check_open_unit(self.gamma, "gamma")
 
     @classmethod
     def uniform(cls, channels: int, nodes_per_channel: int, beta: float, gamma: float) -> "MultichannelProblem":

@@ -314,6 +314,9 @@ def _run_batch(
     return TrialBatchResult(rounds=rounds, stop=stop)
 
 
+# The public runners: thin wrappers kept by name, which callers, the tests
+# and the benchmark's tracer use.
+
 def run_desync_batch(
     phi0: np.ndarray, alpha: float, epsilon: float, max_rounds: int
 ) -> TrialBatchResult:

@@ -121,8 +121,8 @@ MULTI = (partial(run_sync_desync_batch, fast=False), partial(run_sync_desync_bat
     (SINGLE, (4,), (0.5, 1e-3), -5, "max_rounds must be >= 1, got -5"),
     (MULTI, (3, 4), (0.5, 0.6, 1e-3), 50, "beta out of (0, 1/2): 0.5"),
     (MULTI, (3, 4), (0.6, 0.6, 1e-3), 50, "beta out of (0, 1/2): 0.6"),
-    (MULTI, (3, 4), (0.2, 0.0, 1e-3), 50, "gamma out of (0, 1): 0.0"),
-    (MULTI, (3, 4), (0.2, 1.5, 1e-3), 50, "gamma out of (0, 1): 1.5"),
+    (MULTI, (3, 4), (0.2, 0.0, 1e-3), 50, "gamma out of (0,1): 0.0"),
+    (MULTI, (3, 4), (0.2, 1.5, 1e-3), 50, "gamma out of (0,1): 1.5"),
     (MULTI, (1, 4), (0.2, 0.6, 1e-3), 50, "need at least 2 channels, got 1"),
     (MULTI, (3, 1), (0.2, 0.6, 1e-3), 50, "every channel needs >= 2 nodes, got (1, 1, 1)"),
     (MULTI, (3, 4), (0.2, 0.6, 0.0), 50, "epsilon must be > 0, got 0.0"),

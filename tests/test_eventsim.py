@@ -15,6 +15,7 @@ from desynclab import (
     SimConfig,
     Simulation,
     SingleChannelProblem,
+    SpecError,
     SwapError,
     desync_objective,
     desync_round,
@@ -90,7 +91,8 @@ def test_two_node_fire_order():
         "channel-negative", "channel-fractional", "phase-nan", "phase-inf",
         "max-rounds-0", "max-rounds-negative", "guard-time", "steady-tol"])
 def test_config_validation_messages(kw, match):
-    with pytest.raises(ValueError, match=match):
+    # every rule raises SpecError, as the problems and ExperimentSpec do
+    with pytest.raises(SpecError, match=match):
         Simulation(single_channel_config(**kw))
 
 
@@ -624,16 +626,17 @@ def test_memory_kept_per_round_excludes_fire_history():
     assert (long - short) / 100 < 8 * n
 
 
-def _memory_kept_after_steps(steps):
-    """Bytes a converged simulation holds, trace dropped, after `steps`
-    further fires outside run()."""
+def _memory_kept_after_steps(steps, run_first=True):
+    """Bytes a simulation holds, trace dropped, after `steps` fires outside
+    run(): fires of a converged network, or of a fresh one."""
     gc.collect()
     tracemalloc.start()
     try:
         sim = Simulation(SimConfig(n=6, channels=2, alpha=0.6, gamma=0.6, epsilon=1e-12,
                                    rng_seed=11, max_rounds=60000))
-        assert sim.run().report.converged
-        sim.trace.clear()
+        if run_first:
+            assert sim.run().report.converged
+            sim.trace.clear()
         for _ in range(steps):
             sim.step()
         assert sim.completed_rounds == min(nd.fire_count for nd in sim.nodes)
@@ -646,10 +649,13 @@ def _memory_kept_after_steps(steps):
 def test_steps_after_run_free_their_rounds():
     # criterion 10 and the swap runs keep stepping a converged network; each
     # round those steps complete is freed, where a buffered round of six fire
-    # times would keep about 90 bytes per step
-    _memory_kept_after_steps(6)
-    short, long = _memory_kept_after_steps(600), _memory_kept_after_steps(6600)
-    assert (long - short) / 6000 < 8
+    # times would keep about 90 bytes per step. Steps on a fresh simulation,
+    # before any run(), free their rounds too.
+    for run_first in (True, False):
+        _memory_kept_after_steps(6, run_first)
+        short = _memory_kept_after_steps(600, run_first)
+        long = _memory_kept_after_steps(6600, run_first)
+        assert (long - short) / 6000 < 8
 
 
 def test_run_after_steps_records_from_the_next_round():
@@ -730,16 +736,22 @@ def test_run_reports_how_it_stopped(stop, kw, rounds, steady_round):
 
 
 def test_run_records_rounds_stepped_before_it():
-    # rounds completed by steps before the first run() wait in the round
-    # buffer, dozens more than n, and are recorded, not taken for a Zeno
-    # exchange
+    # rounds completed by steps before the first run() are freed unrecorded,
+    # as after a run; the run records from the next round, each at its own
+    # time, and the steps are not taken for a Zeno exchange
     cfg = SimConfig(n=4, channels=1, alpha=0.5, epsilon=1e-300, steady_tol=0.0,
                     rng_seed=3, max_rounds=80)
     sim = Simulation(cfg)
     for _ in range(200):
         sim.step()
-    assert len(sim._rounds) > 4 * cfg.n
-    assert sim.run().report.rounds == Simulation(cfg).run().report.rounds
+    stepped, resumed_at = sim.completed_rounds, sim.time
+    assert stepped == min(nd.fire_count for nd in sim.nodes) > 4 * cfg.n
+    res = sim.run()
+    assert res.report.rounds > stepped
+    assert [rec.round_index for rec in res.trace] == [0, *range(stepped + 1, res.report.rounds + 1)]
+    times = [rec.sim_time for rec in res.trace[1:]]
+    assert resumed_at < times[0] and all(np.diff(times) > 0)
+    assert res.stop is not Stop.ZENO
 
 
 def test_trace_objective_consistent_with_core_math():
