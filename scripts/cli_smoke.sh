@@ -21,6 +21,19 @@ desynclab bounds --config sweep.yaml --out cli-out
 # fast-desync diverges at alpha = 0.8, outside its bound's guarantee: exit 0
 printf 'mode: desync\nn: 8\nalpha: [0.3, 0.8]\ntrials: 24\n' > bounds-two-alpha.yaml
 desynclab bounds --config bounds-two-alpha.yaml --out cli-out
+# bounds counts its maxima from the spectrum, sweep iterates them: every
+# bounds.csv maximum equals the max_rounds of the sweep.csv row of its mode
+# and point, the diverging fast-desync row included (so sweep exits 4)
+rc=0; desynclab sweep --config bounds-two-alpha.yaml --out cross || rc=$?; test "$rc" -eq 4
+python - cli-out/bounds.csv cross/sweep.csv <<'EOF'
+import csv, sys
+bounds, sweep = (list(csv.DictReader(open(path))) for path in sys.argv[1:])
+observed = {(r["mode"], r["alpha"], r["epsilon"]): r["max_rounds"] for r in sweep}
+assert len(bounds) == 4 and len(observed) == 8, (len(bounds), len(observed))
+for b in bounds:
+    for mode, column in (("desync", "max_rounds_desync"), ("fast-desync", "max_rounds_fast")):
+        assert b[column] == observed[mode, b["alpha"], b["epsilon"]], (mode, b)
+EOF
 desynclab plotdata --summary cli-out/summary.json --out cli-out/plots
 # a key with no value, and an `out` that names a file, exit 2 (validation)
 printf 'mode: desync\nn: 8\ntrials:\n' > null.yaml

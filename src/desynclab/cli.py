@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each command takes only the overrides it reads
     for name, fn, flags in (
         ("sweep", _cmd_sweep, ("seed", "trials", "out", "workers")),
-        ("bounds", _cmd_bounds, ("seed", "trials", "out", "workers")),
+        ("bounds", _cmd_bounds, ("seed", "trials", "out")),
         ("spectra", _cmd_spectra, ("out",)),
         ("simulate", _cmd_simulate, ("seed", "out")),
     ):

@@ -27,6 +27,7 @@ from .rounds import default_max_rounds
 from .spectral import spectral_report
 from .trials import (
     TrialBatchResult,
+    count_rounds,
     initial_multichannel_batch,
     initial_phase_batch,
     run_desync_batch,
@@ -280,13 +281,17 @@ def _paired_rows(modes, plain, fast, **point) -> list[SweepRow]:
             for mode, res in zip(modes, (plain, fast))]
 
 
-def _single_channel_point(args) -> list[SweepRow]:
+def _single_channel_point(args, counted: bool = False) -> list[SweepRow]:
+    # `bounds` counts, the sweep iterates: the loop stays the counter's oracle
     spec, phi0, alpha, epsilon = args
     n = spec.n
     cap = spec.max_rounds or default_max_rounds(n, alpha, epsilon)
-    plain = run_desync_batch(phi0, alpha, epsilon, cap)
-    fast = run_fast_desync_batch(phi0, alpha, epsilon, cap)
     problem = SingleChannelProblem(n=n, alpha=alpha, epsilon=epsilon)
+    if counted:
+        plain, fast = (count_rounds(phi0, problem, epsilon, cap, f) for f in (False, True))
+    else:
+        plain = run_desync_batch(phi0, alpha, epsilon, cap)
+        fast = run_fast_desync_batch(phi0, alpha, epsilon, cap)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         bound_f = fast_desync_round_bound(problem)
@@ -340,14 +345,18 @@ def _eventsim_point(args) -> list[SweepRow]:
     ]
 
 
+def _single_channel_points(spec: ExperimentSpec) -> list[tuple]:
+    """The sweep's grid points, sharing one start batch sampled once."""
+    phi0 = initial_phase_batch(spec.n, spec.trials, spec.seed_base)
+    return [(spec, phi0, a, e) for a in spec.alphas for e in spec.epsilons]
+
+
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """Run every grid point of the spec. Single-channel modes always run the
     plain and accelerated variants on identical per-trial starts, so the
-    speed-up statistic is defined; the mode only selects the default grid.
-    The start batch is sampled once and shared by every grid point."""
+    speed-up statistic is defined; the mode only selects the default grid."""
     if spec.mode in _SINGLE:
-        phi0 = initial_phase_batch(spec.n, spec.trials, spec.seed_base)
-        points = [(spec, phi0, a, e) for a in spec.alphas for e in spec.epsilons]
+        points = _single_channel_points(spec)
         worker = _single_channel_point
     elif spec.mode in _MULTI:
         phi0 = initial_multichannel_batch(
@@ -391,14 +400,16 @@ class BoundsRow:
 
 
 def compare_bounds(spec: ExperimentSpec) -> list[BoundsRow]:
-    """Observed max rounds versus the worst-case bounds, per grid point, read
-    off the sweep's paired rows. A row is violated, which indicates an
-    implementation bug, when its plain rounds exceed the plain bound, or its
-    accelerated rounds exceed the accelerated bound where that bound is
-    guaranteed (alpha <= FAST_GUARANTEE_ALPHA_MAX)."""
+    """Observed max rounds versus the worst-case bounds, per grid point of
+    the sweep of `spec` and on its starts, counted by `trials.count_rounds`.
+    A row is violated, which indicates an implementation bug, when its plain
+    rounds exceed the plain bound, or its accelerated rounds exceed the
+    accelerated bound where that bound is guaranteed (alpha <=
+    FAST_GUARANTEE_ALPHA_MAX)."""
     if spec.mode not in _SINGLE:
         raise SpecError("bound comparison needs a single-channel mode")
-    rows = run_sweep(spec).rows
+    rows = [row for point in _single_channel_points(spec)
+            for row in _single_channel_point(point, counted=True)]
     return [
         BoundsRow(
             n=d.n, alpha=d.alpha, epsilon=d.epsilon, trials=d.trials,

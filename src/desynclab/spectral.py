@@ -13,6 +13,7 @@ the closed form against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,6 +72,33 @@ def consensus_block_eigenvalues(C: int, gamma: float) -> np.ndarray:
     return 1.0 - gamma + gamma * np.exp(2j * np.pi * j / C)
 
 
+def ring_eigenvalues(n: int, alpha: float) -> np.ndarray:
+    """Spectrum of one Desync round on a channel's gap residual, a circulant
+    map (Gray, "Toeplitz and Circulant Matrices", 2006): lambda_j = 1 - alpha
+    + alpha cos(2 pi j / n), j = 0..n-1. Modes j and n - j share lambda_j;
+    mode 0, the residual's sum, is zero on every state."""
+    return 1.0 - alpha + alpha * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def mode_gains(lam: np.ndarray, fast: bool):
+    """Gains g_j(k) of the ring modes with eigenvalues `lam`, as (64, modes)
+    blocks for k = 1, 2, ...: a start whose residual has mode weights w_j
+    (summing to its objective) has objective sum_j w_j g_j(k) after k rounds.
+    Plain: lambda_j^(2k). Accelerated (mu_0 = phi_0): y_j(k)^2, where y_k =
+    lambda_j z_(k-1), z_k = y_k + m_k (y_k - y_(k-1)), y_0 = z_0 = 1."""
+    from .rounds import momentum_coefficient  # rounds imports this module
+
+    y = z = np.ones_like(lam)
+    for k in itertools.count(1, 64):
+        out = np.empty((64, lam.size)) if fast else (lam * lam) ** np.arange(k, k + 64)[:, None]
+        if fast:
+            for i, row in enumerate(out, start=k):
+                y_old, y = y, lam * z
+                z = y + momentum_coefficient(i) * (y - y_old)
+                np.multiply(y, y, out=row)
+        yield out
+
+
 def momentum_onset(problem: SingleChannelProblem | MultichannelProblem) -> int | None:
     """First round k at which the accelerated iteration of `problem` is
     unstable, or None when it is stable at every k.
@@ -80,15 +108,14 @@ def momentum_onset(problem: SingleChannelProblem | MultichannelProblem) -> int |
     unit disc through -1 once lam (1 + 2 m_k) < -1. With 1 + 2 m_k =
     3k/(k+2) that is k > 2 / (-1 - 3 lam), so only lam < -1/3 ever turns
     unstable, and the most negative eigenvalue turns first. Single channel:
-    lam_j = 1 - alpha + alpha cos(2 pi j / n), j = 1..n-1, which gives the
-    limit alpha < 2/3 for even n and alpha < (4/3) / (1 + cos(pi/n)) for
-    odd n. Multichannel: every channel's Desync block with alpha = 2 beta;
-    the consensus block carries no momentum."""
+    the `ring_eigenvalues` but mode 0's, which gives the limit alpha < 2/3
+    for even n and alpha < (4/3) / (1 + cos(pi/n)) for odd n. Multichannel:
+    every channel's Desync block with alpha = 2 beta; the consensus block
+    carries no momentum."""
     if isinstance(problem, MultichannelProblem):
         lam = min(desync_block_eigenvalues(n, problem.beta).min() for n in problem.channel_counts)
     else:
-        j = np.arange(1, problem.n)
-        lam = (1.0 - problem.alpha + problem.alpha * np.cos(2.0 * np.pi * j / problem.n)).min()
+        lam = ring_eigenvalues(problem.n, problem.alpha)[1:].min()
     lam = float(lam)
     if 3.0 * lam + 1.0 >= 0.0:
         return None

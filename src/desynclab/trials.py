@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import batch_multichannel_objective, gap_terms
+from .objectives import batch_multichannel_objective, gap_residual, gap_terms
 from .problems import MultichannelProblem, SingleChannelProblem, check_run
-from .rounds import Stop, desync_map, diverging, momentum_step, sync_map
-from .spectral import momentum_onset
+from .rounds import GROWTH, Stop, desync_map, diverging, momentum_step, sync_map
+from .spectral import mode_gains, momentum_onset, ring_eigenvalues
 
 TIE_JITTER = 1e-12
 
@@ -311,6 +311,76 @@ def _run_batch(
                 phi = phi.compress(keep, axis=0)
                 mu = mu.compress(keep, axis=0) if fast else phi
                 sync_work, slots = sync_work[:kept], None
+    return TrialBatchResult(rounds=rounds, stop=stop)
+
+
+ETA = 1e-7  # relative margin of count_rounds' threshold tests
+
+
+def count_rounds(phi0: np.ndarray, problem: SingleChannelProblem, epsilon: float,
+                 max_rounds: int, fast: bool) -> TrialBatchResult:
+    """`_run_batch`'s result for a single-channel batch, counted from the
+    spectrum: round k's objective is G_k = sum_j w_j g_j(k), w_j the weight
+    of ring mode j (j and n - j folded) in the DFT of the start's gap
+    residual, g_j the gain of `spectral.mode_gains`. Round 0 is the loop's
+    own `gap_terms(phi0)`, and the loop's stop rules follow.
+
+    The loop's v_k differs from G_k by rounding: each round adds a few ulps
+    per node to the residual, carried on like the state, at most b_k = 4 u
+    sqrt(n) k A_k in norm (u = 2**-53; A_k = max_j sqrt(g_j(k) / min_{i<=k}
+    g_j(i)) over the modes momentum grows, lambda_j < -1/3, else 1). So
+    |v_k - G_k| <= ETA G_k + b_k (sqrt(2 G_k) + b_k), ETA covering the
+    relative error of weights, gains and sums, about (n + k) u; measured
+    errors stay within a third of this bound. A trial takes G's counts only
+    if every round tested keeps that far (t for G_k) from each threshold t;
+    the rest, and any non-finite G_k, run through `_run_batch`."""
+    check_run(epsilon, max_rounds)
+    n = phi0.shape[-1]
+    lam = ring_eigenvalues(n, problem.alpha)[:n // 2 + 1]
+    r, w = gap_residual(phi0), np.empty((len(phi0), lam.size))
+    for j in range(0, lam.size, 64):  # the DFT basis in blocks of 64 modes
+        modes = np.outer(np.arange(n), np.arange(j, min(j + 64, lam.size))) % n
+        w[:, j:j + 64] = abs(r @ np.exp(2j * np.pi / n * modes)) ** 2 / (2.0 * n)
+    w[:, 1:(n + 1) // 2] *= 2.0
+    start = gap_terms(phi0)
+    rounds = np.where(start <= epsilon, 0, max_rounds)
+    stop = np.where(start <= epsilon, int(Stop.CONVERGED), int(Stop.CAPPED)).astype(np.int8)
+    redo = ~np.isfinite(start)
+    live = np.flatnonzero((start > epsilon) & ~redo)
+    w, top = w[live], GROWTH * start[live]
+    onset = momentum_onset(problem) if fast else None
+    grows = fast & (lam < -1.0 / 3.0)
+    low = np.ones((1, np.count_nonzero(grows)))
+    k, gains = 0, mode_gains(lam, fast)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live.size and k < max_rounds:
+            g = next(gains)[:max_rounds - k]
+            ks = np.arange(k + 1, k + 1 + len(g))[:, None]
+            low = np.minimum(low[-1], np.minimum.accumulate(g[:, grows]))
+            b = 4 * 2.0**-53 * ks * np.sqrt(n * (g[:, grows] / low).max(1, initial=1.0))[:, None]
+            v = g @ w.T
+            # a trial stops at its first round within or past a threshold's
+            # margin; the loop decides it if within (NaN counts as within)
+            m_eps = ETA * epsilon + b * (np.sqrt(2.0 * epsilon) + b)
+            hit = ~(v > epsilon + m_eps)
+            if onset is not None:
+                m_top = ETA * top + b * (np.sqrt(2.0 * top) + b)
+                hit |= (ks >= onset) & ~(v < top - m_top)
+            ends = hit.any(axis=0)
+            done = np.flatnonzero(ends)
+            at, gone = hit[:, done].argmax(axis=0), live[done]
+            last = v[at, done]
+            redo[gone] = ~np.isfinite(last) | ~(abs(last - epsilon) > m_eps[at, 0])
+            if onset is not None:
+                redo[gone] |= (ks[at, 0] >= onset) & ~(abs(last - top[done]) > m_top[at, done])
+            converged = last <= epsilon
+            rounds[gone] = np.where(converged, ks[at, 0], max_rounds)
+            stop[gone] = np.where(converged, int(Stop.CONVERGED), int(Stop.DIVERGED))
+            live, w, top = live[~ends], w[~ends], top[~ends]
+            k += len(g)
+    if redo.any():
+        loop = _run_batch(phi0[redo], problem, epsilon, max_rounds, fast)
+        rounds[redo], stop[redo] = loop.rounds, loop.stop
     return TrialBatchResult(rounds=rounds, stop=stop)
 
 

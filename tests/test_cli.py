@@ -135,7 +135,7 @@ def test_overrides_pass_spec_checks(tmp_path, capsys, command, flag, value, key)
 
 @pytest.mark.parametrize("command, flags", [
     ("sweep", {"--seed", "--trials", "--out", "--workers"}),
-    ("bounds", {"--seed", "--trials", "--out", "--workers"}),
+    ("bounds", {"--seed", "--trials", "--out"}),
     ("spectra", {"--out"}),
     ("simulate", {"--seed", "--out"}),
 ])

@@ -1,59 +1,133 @@
-"""Plain-Desync round counts in closed form, as an oracle for the batch runner.
+"""The spectral round counter against the batch loop, its oracle.
 
-The gap residual r of a single channel evolves by a circulant map whose
-eigenvalues are lambda_j = 1 - alpha + alpha cos(2 pi j / n), so by Parseval
-the objective after k rounds is
-
-    g_k = (1 / 2n) sum_j |r_hat_j|^2 lambda_j^(2k),
-
-with r_hat the FFT of the start's residual (Gray, "Toeplitz and Circulant
-Matrices", 2006). g_k does not increase with k, so the first round with
-g_k <= epsilon is found by bisection, capped as the runner caps. No
-tolerance is allowed: each count must equal the batch runner's exactly.
+`trials.count_rounds` reads each trial's rounds and stop code off the ring
+spectrum (G_k = sum_j w_j g_j(k)) and sends every trial that passes within
+rounding of a threshold through `trials._run_batch`. No tolerance is
+allowed: each count and stop code must equal the loop's exactly, for both
+variants, stable and diverging. The `fallbacks` spy sees the rows that the
+counter hands back to the loop, so a counter that left its work to the loop
+would fail here rather than compare the loop with itself.
 """
 
 import numpy as np
 import pytest
 
-from desynclab.objectives import gap_residual
-from desynclab.rounds import default_max_rounds
-from desynclab.trials import initial_phase_batch, run_desync_batch
+from desynclab import trials
+from desynclab.experiments import DEFAULT_ALPHAS
+from desynclab.objectives import desync_objective
+from desynclab.problems import SingleChannelProblem
+from desynclab.rounds import DesyncState, Stop, default_max_rounds, desync_round
+from desynclab.trials import _run_batch, count_rounds, initial_phase_batch
 
 TRIALS = 50
 
 
-def closed_form_rounds(phi0, alpha, epsilon, cap):
-    """Per trial of a (trials, n) start batch, the first k with g_k <=
-    epsilon, or cap when there is none up to cap."""
-    n = phi0.shape[-1]
-    power = np.abs(np.fft.fft(gap_residual(phi0))) ** 2 / (2 * n)
-    lam2 = (1 - alpha + alpha * np.cos(2 * np.pi * np.arange(n) / n)) ** 2
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The start rows of each `_run_batch` call that `count_rounds` makes."""
+    seen = []
 
-    def crossed(k):
-        return (power * lam2 ** k[:, None]).sum(axis=1) <= epsilon
+    def spy(rows, *args):
+        seen.append(rows.copy())
+        return _run_batch(rows, *args)
 
-    lo, hi = np.zeros(len(phi0), dtype=np.int64), np.full(len(phi0), cap, dtype=np.int64)
-    while np.any(hi - lo > 1):  # g_lo > epsilon, and the first crossing is at most hi
-        mid = (lo + hi) // 2
-        ok = crossed(mid)
-        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
-    return np.where(crossed(np.zeros_like(lo)), 0, hi)
+    monkeypatch.setattr(trials, "_run_batch", spy)
+    return seen
+
+
+def fallback_rows(seen) -> int:
+    return sum(len(rows) for rows in seen)
+
+
+def assert_counts_equal_loop(phi0, alpha, epsilon, cap):
+    """Both variants' counts equal the loop's; returns the plain and the
+    accelerated result. The oracle is the module's own `_run_batch`, which
+    the `fallbacks` spy does not see."""
+    problem = SingleChannelProblem(phi0.shape[-1], alpha, epsilon)
+    results = []
+    for fast in (False, True):
+        got = count_rounds(phi0, problem, epsilon, cap, fast)
+        loop = _run_batch(phi0, problem, epsilon, cap, fast)
+        assert np.array_equal(got.rounds, loop.rounds), (alpha, epsilon, cap, fast)
+        assert np.array_equal(got.stop, loop.stop), (alpha, epsilon, cap, fast)
+        assert got.rounds.dtype == loop.rounds.dtype and got.stop.dtype == loop.stop.dtype
+        results.append(got)
+    return results
 
 
 @pytest.mark.parametrize("n", [4, 7, 16])
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("epsilon", [1e-3, 1e-4])
-def test_batch_rounds_equal_closed_form(n, alpha, epsilon):
+def test_batch_rounds_equal_closed_form(n, alpha, epsilon, fallbacks):
     phi0 = initial_phase_batch(n, TRIALS, seed_base=0)
-    cap = default_max_rounds(n, alpha, epsilon)
-    got = run_desync_batch(phi0, alpha, epsilon, cap)
-    assert got.converged.all()
-    assert np.array_equal(got.rounds, closed_form_rounds(phi0, alpha, epsilon, cap))
+    plain, _ = assert_counts_equal_loop(phi0, alpha, epsilon, default_max_rounds(n, alpha, epsilon))
+    assert plain.converged.all()
+    assert fallback_rows(fallbacks) == 0
 
 
-def test_capped_rounds_equal_closed_form():
-    # a cap near the median round count: capped trials read the cap on both sides
+def test_capped_rounds_equal_closed_form(fallbacks):
+    # a cap near the median plain count: capped trials read the cap on both sides
     phi0 = initial_phase_batch(16, TRIALS, seed_base=1)
-    got = run_desync_batch(phi0, 0.1, 1e-4, 220)
-    assert 0 < got.converged.sum() < TRIALS
-    assert np.array_equal(got.rounds, closed_form_rounds(phi0, 0.1, 1e-4, 220))
+    plain, _ = assert_counts_equal_loop(phi0, 0.1, 1e-4, 220)
+    assert 0 < plain.converged.sum() < TRIALS
+    assert fallback_rows(fallbacks) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 33])
+def test_counts_equal_the_loop_on_the_default_grid(n, fallbacks):
+    phi0 = initial_phase_batch(n, 8, seed_base=n)
+    diverged = 0
+    for alpha in DEFAULT_ALPHAS:
+        for epsilon in (1e-3, 1e-4, 1e-6):
+            cap = default_max_rounds(n, alpha, epsilon)
+            plain, fast = assert_counts_equal_loop(phi0, alpha, epsilon, cap)
+            assert plain.converged.all()
+            assert (fast.rounds[fast.aborted] == cap).all()
+            diverged += fast.aborted.sum()
+    assert diverged > 0  # the grid reaches the accelerated variant's unstable region
+    assert fallback_rows(fallbacks) == 0
+
+
+@pytest.mark.parametrize("cap", [1, 7, 8, 9, 17])
+def test_counts_equal_the_loop_under_small_caps(cap, fallbacks):
+    phi0 = initial_phase_batch(7, 16, seed_base=cap)
+    for alpha in (0.3, 0.6, 0.95):
+        assert_counts_equal_loop(phi0, alpha, 1e-3, cap)
+    assert fallback_rows(fallbacks) == 0
+
+
+def test_a_trial_at_its_threshold_runs_through_the_loop(fallbacks):
+    # epsilon is trial 0's own objective at round 5, so its closed-form
+    # objective there lies within rounding of the threshold; for this trial
+    # the two differ by rounding, and a counter without the margin miscounts
+    n, alpha, t = 8, 0.3, 0
+    phi0 = initial_phase_batch(n, 12, seed_base=5)
+    problem = SingleChannelProblem(n, alpha, 1e-3)
+    state = DesyncState(phi0[t])
+    for _ in range(5):
+        state = desync_round(state, problem)
+    epsilon = desync_objective(state.phi, problem)
+    plain, _ = assert_counts_equal_loop(phi0, alpha, epsilon, 100)
+    assert plain.rounds[t] <= 5 and plain.stop[t] == Stop.CONVERGED
+    assert any((rows == phi0[t]).all(axis=1).any() for rows in fallbacks)
+    assert fallback_rows(fallbacks) <= 2  # trial 0, and at most one more near its threshold
+
+
+def test_a_start_without_a_growing_mode_runs_through_the_loop(fallbacks):
+    # Gaps with only the slowest mode: the modes that momentum makes grow
+    # start at rounding level, so the loop's own rounding, not the start,
+    # decides when they cross GROWTH. The counter must not claim these trials.
+    n, alpha, epsilon = 16, 0.8, 1e-16
+    i = np.arange(n)
+    phi0 = np.array([i / n + a * np.sin(2 * np.pi * i / n) for a in (0.004, 0.01, 0.02)])
+    got = count_rounds(phi0, SingleChannelProblem(n, alpha, epsilon), epsilon, 2000, True)
+    assert [len(rows) for rows in fallbacks] == [len(phi0)] and got.aborted.all()
+    assert_counts_equal_loop(phi0, alpha, epsilon, 2000)
+
+
+def test_a_non_finite_start_runs_through_the_loop(fallbacks):
+    phi0 = initial_phase_batch(8, 4, seed_base=2)
+    phi0[1, 3] = np.nan
+    plain, fast = assert_counts_equal_loop(phi0, 0.8, 1e-3, 50)
+    assert fast.stop[1] == Stop.DIVERGED and fast.rounds[1] == 50
+    assert all(len(rows) == 1 and np.isnan(rows[0, 3]) for rows in fallbacks)
