@@ -21,7 +21,7 @@ desynclab bounds --config sweep.yaml --out cli-out
 # fast-desync diverges at alpha = 0.8, outside its bound's guarantee: exit 0
 printf 'mode: desync\nn: 8\nalpha: [0.3, 0.8]\ntrials: 24\n' > bounds-two-alpha.yaml
 desynclab bounds --config bounds-two-alpha.yaml --out cli-out
-# bounds counts its maxima from the spectrum, sweep iterates them: every
+# bounds and sweep both count their rounds from the spectrum: every
 # bounds.csv maximum equals the max_rounds of the sweep.csv row of its mode
 # and point, the diverging fast-desync row included (so sweep exits 4)
 rc=0; desynclab sweep --config bounds-two-alpha.yaml --out cross || rc=$?; test "$rc" -eq 4
@@ -33,6 +33,30 @@ assert len(bounds) == 4 and len(observed) == 8, (len(bounds), len(observed))
 for b in bounds:
     for mode, column in (("desync", "max_rounds_desync"), ("fast-desync", "max_rounds_fast")):
         assert b[column] == observed[mode, b["alpha"], b["epsilon"]], (mode, b)
+EOF
+# the batch loop, the counter's oracle, run on the config's starts gives the
+# sweep's max_rounds, mean_rounds and failures in both modes
+python - bounds-two-alpha.yaml cross/sweep.csv cross/summary.json <<'EOF'
+import csv, json, sys
+from desynclab.experiments import parse_spec
+from desynclab.problems import SingleChannelProblem
+from desynclab.rounds import default_max_rounds
+from desynclab.trials import _run_batch, initial_phase_batch
+spec = parse_spec(open(sys.argv[1]).read())
+rows = list(csv.DictReader(open(sys.argv[2])))
+failures = [r["failures"] for r in json.load(open(sys.argv[3]))["rows"]]
+assert len(rows) == len(failures) == 8, (len(rows), len(failures))
+phi0 = initial_phase_batch(spec.n, spec.trials, spec.seed_base)
+diverged = 0
+for row, failed in zip(rows, failures):
+    alpha, epsilon = float(row["alpha"]), float(row["epsilon"])
+    cap = spec.max_rounds or default_max_rounds(spec.n, alpha, epsilon)
+    loop = _run_batch(phi0, SingleChannelProblem(spec.n, alpha, epsilon), epsilon, cap,
+                      row["mode"] == "fast-desync")
+    got = (int(row["max_rounds"]), float(row["mean_rounds"]), failed)
+    assert got == (loop.rounds.max(), loop.rounds.mean(), (~loop.converged).sum()), row
+    diverged += loop.aborted.sum()
+assert diverged > 0  # the fast-desync rows at alpha = 0.8
 EOF
 desynclab plotdata --summary cli-out/summary.json --out cli-out/plots
 # a key with no value, and an `out` that names a file, exit 2 (validation)

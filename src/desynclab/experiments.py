@@ -30,7 +30,7 @@ from .trials import (
     count_rounds,
     initial_multichannel_batch,
     initial_phase_batch,
-    run_desync_batch,
+    run_desync_batch,  # unused here: perfbench/tracing.py wraps both by this module's name
     run_fast_desync_batch,
     run_sync_desync_batch,
 )
@@ -281,17 +281,13 @@ def _paired_rows(modes, plain, fast, **point) -> list[SweepRow]:
             for mode, res in zip(modes, (plain, fast))]
 
 
-def _single_channel_point(args, counted: bool = False) -> list[SweepRow]:
-    # `bounds` counts, the sweep iterates: the loop stays the counter's oracle
+def _single_channel_point(args) -> list[SweepRow]:
+    # `sweep` and `bounds` both count; `count_rounds` falls back on the loop
     spec, phi0, alpha, epsilon = args
     n = spec.n
     cap = spec.max_rounds or default_max_rounds(n, alpha, epsilon)
     problem = SingleChannelProblem(n=n, alpha=alpha, epsilon=epsilon)
-    if counted:
-        plain, fast = (count_rounds(phi0, problem, epsilon, cap, f) for f in (False, True))
-    else:
-        plain = run_desync_batch(phi0, alpha, epsilon, cap)
-        fast = run_fast_desync_batch(phi0, alpha, epsilon, cap)
+    plain, fast = (count_rounds(phi0, problem, epsilon, cap, f) for f in (False, True))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         bound_f = fast_desync_round_bound(problem)
@@ -401,7 +397,8 @@ class BoundsRow:
 
 def compare_bounds(spec: ExperimentSpec) -> list[BoundsRow]:
     """Observed max rounds versus the worst-case bounds, per grid point of
-    the sweep of `spec` and on its starts, counted by `trials.count_rounds`.
+    the sweep of `spec`: the sweep's own rows, counted on its starts as the
+    sweep counts them (`trials.count_rounds`, the loop its fallback).
     A row is violated, which indicates an implementation bug, when its plain
     rounds exceed the plain bound, or its accelerated rounds exceed the
     accelerated bound where that bound is guaranteed (alpha <=
@@ -409,7 +406,7 @@ def compare_bounds(spec: ExperimentSpec) -> list[BoundsRow]:
     if spec.mode not in _SINGLE:
         raise SpecError("bound comparison needs a single-channel mode")
     rows = [row for point in _single_channel_points(spec)
-            for row in _single_channel_point(point, counted=True)]
+            for row in _single_channel_point(point)]
     return [
         BoundsRow(
             n=d.n, alpha=d.alpha, epsilon=d.epsilon, trials=d.trials,

@@ -337,11 +337,8 @@ def count_rounds(phi0: np.ndarray, problem: SingleChannelProblem, epsilon: float
     check_run(epsilon, max_rounds)
     n = phi0.shape[-1]
     lam = ring_eigenvalues(n, problem.alpha)[:n // 2 + 1]
-    r, w = gap_residual(phi0), np.empty((len(phi0), lam.size))
-    for j in range(0, lam.size, 64):  # the DFT basis in blocks of 64 modes
-        modes = np.outer(np.arange(n), np.arange(j, min(j + 64, lam.size))) % n
-        w[:, j:j + 64] = abs(r @ np.exp(2j * np.pi / n * modes)) ** 2 / (2.0 * n)
-    w[:, 1:(n + 1) // 2] *= 2.0
+    w = abs(np.fft.rfft(gap_residual(phi0))) ** 2 / (2.0 * n)
+    w[:, 1:(n + 1) // 2] *= 2.0  # mode j stands for j and n - j
     start = gap_terms(phi0)
     rounds = np.where(start <= epsilon, 0, max_rounds)
     stop = np.where(start <= epsilon, int(Stop.CONVERGED), int(Stop.CAPPED)).astype(np.int8)

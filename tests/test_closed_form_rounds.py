@@ -6,14 +6,18 @@ rounding of a threshold through `trials._run_batch`. No tolerance is
 allowed: each count and stop code must equal the loop's exactly, for both
 variants, stable and diverging. The `fallbacks` spy sees the rows that the
 counter hands back to the loop, so a counter that left its work to the loop
-would fail here rather than compare the loop with itself.
+would fail here rather than compare the loop with itself. `run_sweep` and
+`compare_bounds` count through it too, so their rows are checked against
+rows built from the loop.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from desynclab import trials
-from desynclab.experiments import DEFAULT_ALPHAS
+from desynclab.experiments import DEFAULT_ALPHAS, ExperimentSpec, compare_bounds, run_sweep
 from desynclab.objectives import desync_objective
 from desynclab.problems import SingleChannelProblem
 from desynclab.rounds import DesyncState, Stop, default_max_rounds, desync_round
@@ -27,9 +31,9 @@ def fallbacks(monkeypatch):
     """The start rows of each `_run_batch` call that `count_rounds` makes."""
     seen = []
 
-    def spy(rows, *args):
+    def spy(rows, *args, **kwargs):
         seen.append(rows.copy())
-        return _run_batch(rows, *args)
+        return _run_batch(rows, *args, **kwargs)
 
     monkeypatch.setattr(trials, "_run_batch", spy)
     return seen
@@ -131,3 +135,36 @@ def test_a_non_finite_start_runs_through_the_loop(fallbacks):
     plain, fast = assert_counts_equal_loop(phi0, 0.8, 1e-3, 50)
     assert fast.stop[1] == Stop.DIVERGED and fast.rounds[1] == 50
     assert all(len(rows) == 1 and np.isnan(rows[0, 3]) for rows in fallbacks)
+
+
+# plain trials capped at alpha = 0.1, converged at 0.5; fast ones diverged at 0.8
+SWEEP = ExperimentSpec(mode="desync", n=8, alphas=(0.1, 0.5, 0.8), epsilons=(1e-3, 1e-4),
+                       trials=24, seed_base=4, max_rounds=40)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_and_bounds_rows_equal_loop_rows(workers, fallbacks):
+    spec = replace(SWEEP, workers=workers)
+    phi0 = initial_phase_batch(spec.n, spec.trials, spec.seed_base)
+    rows, bounds = run_sweep(spec).rows, compare_bounds(spec)
+    assert len(rows) == 2 * len(bounds) == 12
+    stops = set()
+    for i, (alpha, epsilon) in enumerate((a, e) for a in spec.alphas for e in spec.epsilons):
+        problem = SingleChannelProblem(spec.n, alpha, epsilon)
+        plain, fast = (_run_batch(phi0, problem, epsilon, spec.max_rounds, f) for f in (False, True))
+        means = plain.rounds.mean(), fast.rounds.mean()
+        speedup = float(100.0 * (means[0] - means[1]) / means[0])
+        for row, loop in zip(rows[2 * i:2 * i + 2], (plain, fast)):
+            assert (row.alpha, row.epsilon) == (alpha, epsilon)
+            assert (row.mean_rounds, row.max_rounds, row.std_rounds, row.speedup_pct,
+                    row.failures) == (float(loop.rounds.mean()), int(loop.rounds.max()),
+                                      float(loop.rounds.std()), speedup,
+                                      int((~loop.converged).sum())), (row, alpha, epsilon)
+            stops.update(loop.stop.tolist())
+        assert (bounds[i].alpha, bounds[i].epsilon) == (alpha, epsilon)
+        assert bounds[i].max_rounds_desync == plain.rounds.max()
+        assert bounds[i].max_rounds_fast == fast.rounds.max()
+    assert stops == {int(Stop.CONVERGED), int(Stop.CAPPED), int(Stop.DIVERGED)}
+    # the counter did the work: no row reached the loop in this process, where
+    # compare_bounds counts (with two workers the sweep counts in child processes)
+    assert fallback_rows(fallbacks) == 0
